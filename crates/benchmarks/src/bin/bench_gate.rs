@@ -43,6 +43,12 @@
 //!    (lockstep round trips sit near the ~40ms delayed-ACK floor
 //!    without it). p99 is reported, not gated. Needs the birds-serve
 //!    binary built first (`cargo build --release -p birds-service`).
+//! 7. **Figure 6 flatness** (with `--flatness-gate`): for each of the
+//!    four panels, the incremental latency at 100k rows must stay within
+//!    10× of the latency at 1k rows (each point the median of 5 updates
+//!    on fresh engines). Fresh-vs-fresh on the same machine, so it
+//!    catches a ∂put plan that scans a base table — `O(|S|)` growth
+//!    shows up as ~100× — without depending on machine speed.
 //!
 //! ```text
 //! cargo run --release -p birds-benchmarks --bin bench_gate -- \
@@ -62,6 +68,7 @@ use birds_benchmarks::range_guard;
 use birds_benchmarks::throughput::{
     disjoint_scaling, durability_batched_sweep, read_interference_sweep, DurabilityPoint,
 };
+use birds_engine::StrategyMode;
 use birds_service::Json;
 use std::time::Duration;
 
@@ -77,6 +84,7 @@ fn main() {
     let mut read_interference_gate = false;
     let mut connection_gate = false;
     let mut range_gate = false;
+    let mut flatness_gate = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -85,6 +93,7 @@ fn main() {
             "--read-interference-gate" => read_interference_gate = true,
             "--connection-gate" => connection_gate = true,
             "--range-gate" => range_gate = true,
+            "--flatness-gate" => flatness_gate = true,
             "--view" => view_name = require_value(args.next(), "--view"),
             "--sizes" => {
                 sizes = parse_usize_list(&require_value(args.next(), "--sizes"), "--sizes")
@@ -200,6 +209,12 @@ fn main() {
         let (rr, rc) = range_pushdown_gate(&baseline, factor);
         regressions += rr;
         compared += rc;
+    }
+
+    if flatness_gate {
+        let (fr, fc) = figure6_flatness_gate();
+        regressions += fr;
+        compared += fc;
     }
 
     if connection_gate {
@@ -500,6 +515,61 @@ fn range_pushdown_gate(baseline: &Json, factor: f64) -> (usize, usize) {
         }
     );
     (regressions, 2)
+}
+
+/// Figure 6 flatness gate (`--flatness-gate`): the paper's §5 claim
+/// that an incremental view update costs `O(|ΔV|)` whatever the base
+/// size. For each panel, the median incremental latency at
+/// `LARGE` rows must stay within `MAX_GROWTH` × the median at `SMALL`
+/// rows. Every sample times the Figure 6 transaction on a freshly
+/// registered engine, fresh-vs-fresh on one machine. Flat panels grow
+/// ~2–3× over this range (larger tables miss cache more); a ∂put plan
+/// that walks a base table grows with it, ~100× here. Returns
+/// `(regressions, compared)`.
+fn figure6_flatness_gate() -> (usize, usize) {
+    const SMALL: usize = 1_000;
+    const LARGE: usize = 100_000;
+    const SAMPLES: usize = 5;
+    const MAX_GROWTH: f64 = 10.0;
+    println!(
+        "\ngate: Figure 6 incremental latency at {LARGE} rows within {MAX_GROWTH}x of \
+         {SMALL} rows (median of {SAMPLES} updates each)"
+    );
+    let median_ms = |view: Figure6View, n: usize| {
+        let mut samples: Vec<Duration> = (0..SAMPLES)
+            .map(|_| view.measure(n, StrategyMode::Incremental))
+            .collect();
+        samples.sort();
+        samples[SAMPLES / 2].as_secs_f64() * 1e3
+    };
+    println!(
+        "{:>18} {:>14} {:>14} {:>8}",
+        "view",
+        format!("{SMALL} (ms)"),
+        format!("{LARGE} (ms)"),
+        "growth"
+    );
+    let mut regressions = 0usize;
+    for view in Figure6View::all() {
+        let small = median_ms(view, SMALL);
+        let large = median_ms(view, LARGE);
+        let growth = large / small.max(1e-9);
+        let regressed = growth > MAX_GROWTH;
+        regressions += usize::from(regressed);
+        println!(
+            "{:>18} {:>14.3} {:>14.3} {:>7.2}x{}",
+            view.name(),
+            small,
+            large,
+            growth,
+            if regressed {
+                "  << REGRESSION: incremental latency grows with the base"
+            } else {
+                ""
+            }
+        );
+    }
+    (regressions, Figure6View::all().len())
 }
 
 /// Connection-scaling gate (`--connection-gate`): measure the active

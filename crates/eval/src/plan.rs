@@ -6,10 +6,15 @@
 //!    atoms) run as early as their variables are bound;
 //! 2. grounding equalities (`X = c`, `X = Y` with one side bound) bind
 //!    immediately;
-//! 3. remaining positive atoms are chosen greedily by (most bound argument
-//!    positions, smallest relation) — so a rule whose body contains a tiny
-//!    delta relation starts its join there, giving the `O(|Δ|)` behaviour
-//!    the incrementalized strategies rely on (paper §5 / Figure 6).
+//! 3. remaining positive atoms are chosen greedily: first any atom a join
+//!    variable probes into (an index probe, not a cross product), then the
+//!    fewest estimated rows. Positions bound by constants are selections:
+//!    they shrink the estimate (by the column's distinct-key count when
+//!    its index exists, else by a fixed 1/10) but give no precedence. So
+//!    a rule whose body contains a tiny delta relation starts its join
+//!    there even when a large atom carries a constant selection, giving
+//!    the `O(|Δ|)` behaviour the incrementalized strategies rely on
+//!    (paper §5 / Figure 6).
 //!
 //! Beyond ordering, planning **resolves every variable to a numeric
 //! register slot**. Because steps execute in plan order, whether a
@@ -44,8 +49,13 @@
 use crate::context::EvalContext;
 use crate::error::{EvalError, EvalResult};
 use birds_datalog::{Atom, CmpOp, Head, Literal, Rule, Term};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Fraction of a relation an equality selection on a column without
+/// index statistics is assumed to keep, as a divisor (System R's 1/10).
+const DEFAULT_EQ_SELECTIVITY: usize = 10;
 
 /// How a planned literal will be executed (derived from [`StepOp`] — see
 /// [`Step::kind`]).
@@ -358,6 +368,9 @@ impl PlanCache {
 #[derive(Default)]
 struct SlotMap {
     slots: HashMap<String, usize>,
+    /// Per slot: `true` when a join binds it — an atom step, or `X = Y`
+    /// from such a slot — and `false` when a constant does (`X = c`).
+    joined: Vec<bool>,
 }
 
 impl SlotMap {
@@ -365,9 +378,18 @@ impl SlotMap {
         self.slots.get(var).copied()
     }
 
-    fn bind(&mut self, var: &str) -> usize {
+    fn bind(&mut self, var: &str, joined: bool) -> usize {
         let next = self.slots.len();
-        *self.slots.entry(var.to_owned()).or_insert(next)
+        let slot = *self.slots.entry(var.to_owned()).or_insert(next);
+        if slot == next {
+            self.joined.push(joined);
+        }
+        slot
+    }
+
+    /// Does a join variable (not a constant) bind this operand?
+    fn is_join(&self, term: SlotTerm) -> bool {
+        matches!(term, SlotTerm::Slot(s) if self.joined[s])
     }
 
     fn len(&self) -> usize {
@@ -423,7 +445,7 @@ fn compile_atom(atom: &Atom, probe_cols: Vec<usize>, slots: &mut SlotMap, join: 
                     match fresh.get(v.as_str()) {
                         Some(&slot) => check.push((i, slot)),
                         None => {
-                            let slot = slots.bind(v);
+                            let slot = slots.bind(v, true);
                             fresh.insert(v.as_str(), slot);
                             bind.push((i, slot));
                         }
@@ -645,7 +667,7 @@ pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
                                 (r.expect("one side is resolvable"), left)
                             };
                             if let Term::Var(v) = newly {
-                                let slot = slots.bind(v);
+                                let slot = slots.bind(v, slots.is_join(value));
                                 steps.push(Step {
                                     literal: li,
                                     op: StepOp::Assign { slot, value },
@@ -665,15 +687,18 @@ pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
         }
 
         // Phase 2: choose the next positive atom to join. Candidates are
-        // ranked by (indexable, estimated cardinality, bound positions,
-        // raw size): a bound position means the scan becomes an index
-        // probe, and the *estimated* cardinality refines raw relation
-        // size by the selectivity of those probes — size divided by the
-        // distinct-key count of each bound column's existing index
-        // (columns without an index contribute no refinement, so before
-        // any index exists the ranking degenerates to the old
-        // size-driven order).
-        let mut best: Option<(usize, usize, usize, usize, usize)> = None; // (pos, li, nbound, est, size)
+        // ranked by (joined, estimated rows, bound positions, raw size).
+        // `joined` means a join variable — one bound by an earlier atom
+        // step, directly or through `X = Y` — binds some position, so the
+        // atom becomes an index probe instead of a cross product. A
+        // position bound by a constant (or by a constant-assigned slot) is
+        // only a selection: it refines the row estimate but earns no
+        // precedence, so `tasks(..., S), S = 'open'` competes with a
+        // 10-tuple delta on rows and loses. The estimate divides the
+        // relation size by each bound column's distinct-key count when
+        // the column's index exists; a selection column without one takes
+        // a fixed 1/10 equality selectivity (System R's default).
+        let mut best = None; // (pos, li, rank)
         for (pos, &li) in remaining.iter().enumerate() {
             if let Literal::Atom {
                 atom,
@@ -685,40 +710,27 @@ pub fn plan_rule(rule: &Rule, ctx: &EvalContext) -> EvalResult<RulePlan> {
                     .relation_len(&flat)
                     .ok_or_else(|| EvalError::UnknownRelation(flat.clone()))?;
                 let bound = bound_positions(&atom.terms, &slots);
-                let nbound = bound.len();
+                let mut joined = false;
                 let mut est = size;
                 for &c in &bound {
-                    if let Some(refined) = ctx
-                        .relation_ndv(&flat, c)
-                        .and_then(|ndv| est.checked_div(ndv))
-                    {
-                        est = refined.max(1);
+                    let join = slot_term(&atom.terms[c], &slots).is_some_and(|t| slots.is_join(t));
+                    joined |= join;
+                    match ctx.relation_ndv(&flat, c).filter(|&ndv| ndv > 0) {
+                        Some(ndv) => est = (est / ndv).max(1),
+                        None if !join => est = est.div_ceil(DEFAULT_EQ_SELECTIVITY),
+                        None => {}
                     }
                 }
-                let better = match best {
-                    None => true,
-                    Some((_, _, best_bound, best_est, best_size)) => {
-                        let cand_indexed = nbound > 0;
-                        let best_indexed = best_bound > 0;
-                        (
-                            cand_indexed,
-                            std::cmp::Reverse(est),
-                            nbound,
-                            std::cmp::Reverse(size),
-                        ) > (
-                            best_indexed,
-                            std::cmp::Reverse(best_est),
-                            best_bound,
-                            std::cmp::Reverse(best_size),
-                        )
-                    }
-                };
-                if better {
-                    best = Some((pos, li, nbound, est, size));
+                let rank = (joined, Reverse(est), bound.len(), Reverse(size));
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, _, best_rank)| rank > *best_rank)
+                {
+                    best = Some((pos, li, rank));
                 }
             }
         }
-        let Some((pos, li, _, _, _)) = best else {
+        let Some((pos, li, ..)) = best else {
             // Only negated atoms / builtins with unbound variables remain.
             let lit = &rule.body[remaining[0]];
             let var = lit
@@ -1046,6 +1058,94 @@ mod tests {
         let plan = plan_rule(&rule, &ctx).unwrap();
         let order: Vec<usize> = plan.steps.iter().map(|s| s.literal).collect();
         assert_eq!(order, vec![0, 1, 2], "k, then big (est 1), then mid");
+    }
+
+    #[test]
+    fn constant_probe_into_a_large_relation_loses_to_a_small_scan() {
+        // `big(X, 7)` is an index probe, but on a constant: a selection
+        // estimated at 1000 / 10 = 100 rows. The 10-tuple unbound scan of
+        // `small` is cheaper and must drive the join.
+        let mut db = db_sizes(&[("big", 2, 1000), ("small", 1, 10)]);
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule("h(X) :- big(X, 7), small(X).").unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        assert_eq!(plan.steps[0].literal, 1, "small drives the join");
+        assert_eq!(
+            plan.steps[1].probe_cols(),
+            &[0, 1],
+            "big is probed on X and 7"
+        );
+    }
+
+    #[test]
+    fn join_probe_without_statistics_beats_a_cross_product() {
+        // After `k` binds X, `big(X, A)` is a probe on a join variable
+        // with no index statistics (estimate: all 400 rows); `small(B)`
+        // shares no variable and would be a cross product. The probe
+        // must win despite the larger estimate.
+        let mut db = db_sizes(&[("k", 1, 2), ("big", 2, 400), ("small", 1, 10)]);
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule("h(X, A, B) :- k(X), big(X, A), small(B).").unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        let order: Vec<usize> = plan.steps.iter().map(|s| s.literal).collect();
+        assert_eq!(order, vec![0, 1, 2], "k, then the big probe, then small");
+        assert_eq!(plan.steps[1].probe_cols(), &[0]);
+    }
+
+    #[test]
+    fn slot_assigned_from_a_join_variable_is_a_join_probe() {
+        // `Y = X` copies a join variable, so `big(Y, A)` probes on a join
+        // variable and outranks the cross-product scan of `small`.
+        let mut db = db_sizes(&[("k", 1, 2), ("big", 2, 400), ("small", 1, 10)]);
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule("h(Y, A, B) :- k(X), Y = X, big(Y, A), small(B).").unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        let order: Vec<usize> = plan.steps.iter().map(|s| s.literal).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn outstanding_task_get_requests_no_composite_tasks_index() {
+        // Figure 6(c) shape: tasks(tid, title, due, owner, status) with
+        // about half `open`, assignment(tid, worker) for about three
+        // quarters of the ids. Driving the get from `assignment` would
+        // probe `tasks` on (tid, status) and build a composite index over
+        // every task; the `status = 'open'` selection keeps `tasks`
+        // (estimate 3000 / 10) ahead of `assignment` (2250).
+        let n = 3000i64;
+        let tasks = (1..=n).map(|i| {
+            let status = if i % 2 == 0 { "open" } else { "done" };
+            birds_store::tuple![
+                i,
+                format!("task{i}"),
+                "2020-06-01",
+                format!("owner{}", i % 97),
+                status
+            ]
+        });
+        let assignment = (1..=n)
+            .filter(|i| i % 4 != 0)
+            .map(|i| birds_store::tuple![i, format!("worker{}", i % 31)]);
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("tasks", 5, tasks).unwrap())
+            .unwrap();
+        db.add_relation(Relation::with_tuples("assignment", 2, assignment).unwrap())
+            .unwrap();
+        let ctx = ctx_with(&mut db);
+        let rule = parse_rule(
+            "outstanding_task(T, TI, DU, OW) :- tasks(T, TI, DU, OW, 'open'), assignment(T, _).",
+        )
+        .unwrap();
+        let plan = plan_rule(&rule, &ctx).unwrap();
+        assert_eq!(plan.steps[0].literal, 0, "tasks drives the get");
+        assert!(
+            !plan
+                .index_requests
+                .iter()
+                .any(|(rel, cols)| rel == "tasks" && cols.len() > 1),
+            "no composite tasks index: {:?}",
+            plan.index_requests
+        );
     }
 
     #[test]
