@@ -124,7 +124,7 @@ fn main() {
     println!();
     println!(
         "== reader/writer interference: query latency under concurrent \
-         writers ({reads} reads/point, MVCC vs locked baseline) =="
+         writers ({reads} reads/point, MVCC) =="
     );
     let read_interference = read_interference_sweep(base_size, &reader_writers, reads);
     print_interference_points(&read_interference);
@@ -211,17 +211,15 @@ fn print_durability_points(tag: &str, points: &[DurabilityPoint]) {
 
 fn print_interference_points(points: &[InterferencePoint]) {
     println!(
-        "{:>8} {:>14} {:>14} {:>16} {:>16}",
-        "writers", "mvcc p50 (us)", "mvcc p99 (us)", "locked p50 (us)", "locked p99 (us)"
+        "{:>8} {:>14} {:>14}",
+        "writers", "mvcc p50 (us)", "mvcc p99 (us)"
     );
     for p in points {
         println!(
-            "{:>8} {:>14.1} {:>14.1} {:>16.1} {:>16.1}",
+            "{:>8} {:>14.1} {:>14.1}",
             p.writers,
             p.mvcc_p50.as_secs_f64() * 1e6,
             p.mvcc_p99.as_secs_f64() * 1e6,
-            p.locked_p50.as_secs_f64() * 1e6,
-            p.locked_p99.as_secs_f64() * 1e6,
         );
     }
 }

@@ -429,26 +429,19 @@ pub fn durability_autocommit_sweep(base_size: usize, count: usize) -> Vec<Durabi
         .collect()
 }
 
-/// One point of the reader/writer-interference sweep: query latency
-/// percentiles under `writers` concurrent batch-committing writers,
-/// measured for both read paths — the lock-free MVCC
-/// [`Service::query`] and the pre-MVCC locked baseline
-/// (`debug_query_locked`, which takes the shard's read lock and copies
-/// the live relation).
+/// One point of the reader/writer-interference sweep: latency
+/// percentiles of the lock-free MVCC [`Service::query`] under `writers`
+/// concurrent batch-committing writers.
 #[derive(Debug, Clone)]
 pub struct InterferencePoint {
     /// Concurrent writer threads churning the queried view's shard.
     pub writers: usize,
-    /// Latency samples per read path.
+    /// Latency samples.
     pub reads: usize,
     /// MVCC query latency, median.
     pub mvcc_p50: Duration,
     /// MVCC query latency, 99th percentile.
     pub mvcc_p99: Duration,
-    /// Locked-read latency, median.
-    pub locked_p50: Duration,
-    /// Locked-read latency, 99th percentile.
-    pub locked_p99: Duration,
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -465,8 +458,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// *same* footprint shard the reader queries and holds its write lock
 /// for the whole multi-statement delta application, the worst case for
 /// reader/writer interference — while the main thread samples `reads`
-/// latencies of the MVCC [`Service::query`] and of the locked baseline
-/// read. Batches alternate between inserting a block of fresh ids and
+/// latencies of the MVCC [`Service::query`]. Batches alternate between inserting a block of fresh ids and
 /// deleting it again, so the view's size stays bounded: loaded reads
 /// sort (nearly) the same data as idle ones, and the ratio measures
 /// interference, not growth. The CI `bench_gate
@@ -493,8 +485,8 @@ pub fn read_interference_sweep(
                     std::thread::spawn(move || {
                         // Batch size tuned so each commit holds the
                         // shard's write lock for a macroscopic stretch —
-                        // lock-taking reads queue behind it, lock-free
-                        // reads must not. (A net-zero batch would
+                        // a lock-taking read would queue behind it, a
+                        // lock-free one must not. (A net-zero batch would
                         // coalesce to an empty delta and skip the lock
                         // work entirely, hence insert/delete alternate
                         // between commits.)
@@ -524,28 +516,19 @@ pub fn read_interference_sweep(
                     })
                 })
                 .collect();
-            let sample = |read: &dyn Fn() -> usize| -> Vec<Duration> {
-                // Warm-up reads are discarded (first-touch effects).
-                for _ in 0..reads / 10 {
-                    read();
-                }
-                let mut samples = Vec::with_capacity(reads);
-                for _ in 0..reads {
-                    let t = Instant::now();
-                    let n = read();
-                    samples.push(t.elapsed());
-                    assert!(n >= 1, "query returned the seeded view");
-                }
-                samples.sort();
-                samples
-            };
-            let mvcc = sample(&|| service.query(view).expect("view is queryable").len());
-            let locked = sample(&|| {
-                service
-                    .debug_query_locked(view)
-                    .expect("view is queryable")
-                    .len()
-            });
+            let read = || service.query(view).expect("view is queryable").len();
+            // Warm-up reads are discarded (first-touch effects).
+            for _ in 0..reads / 10 {
+                read();
+            }
+            let mut mvcc = Vec::with_capacity(reads);
+            for _ in 0..reads {
+                let t = Instant::now();
+                let n = read();
+                mvcc.push(t.elapsed());
+                assert!(n >= 1, "query returned the seeded view");
+            }
+            mvcc.sort();
             stop.store(true, Ordering::Relaxed);
             for h in handles {
                 h.join().expect("writer thread");
@@ -555,8 +538,6 @@ pub fn read_interference_sweep(
                 reads,
                 mvcc_p50: percentile(&mvcc, 0.50),
                 mvcc_p99: percentile(&mvcc, 0.99),
-                locked_p50: percentile(&locked, 0.50),
-                locked_p99: percentile(&locked, 0.99),
             }
         })
         .collect()
@@ -742,10 +723,7 @@ pub fn to_json(
                          the gate factor of its idle p50 is the CI-gated claim (bench_gate \
                          --read-interference-gate): readers never wait for writers. p99 is \
                          recorded but not gated: on an oversubscribed runner tail latency \
-                         measures CPU scheduling, not lock behaviour. locked: the pre-MVCC \
-                         baseline (shard read lock + live copy), kept for comparison — it \
-                         serializes behind commit critical sections and its median degrades \
-                         as writers are added.",
+                         measures CPU scheduling, not lock behaviour.",
                     ),
                 ),
                 (
@@ -773,8 +751,6 @@ fn interference_json(points: &[InterferencePoint]) -> Vec<birds_service::Json> {
                 ("reads".to_owned(), Json::Int(p.reads as i64)),
                 ("mvcc_p50_us".to_owned(), Json::Float(us(p.mvcc_p50))),
                 ("mvcc_p99_us".to_owned(), Json::Float(us(p.mvcc_p99))),
-                ("locked_p50_us".to_owned(), Json::Float(us(p.locked_p50))),
-                ("locked_p99_us".to_owned(), Json::Float(us(p.locked_p99))),
             ])
         })
         .collect()
@@ -1027,7 +1003,6 @@ mod tests {
         for p in &points {
             assert_eq!(p.reads, 30);
             assert!(p.mvcc_p50 <= p.mvcc_p99);
-            assert!(p.locked_p50 <= p.locked_p99);
             assert!(p.mvcc_p99 > Duration::ZERO);
         }
     }

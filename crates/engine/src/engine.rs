@@ -2,12 +2,13 @@
 
 use crate::algorithm2::derive_view_delta;
 use crate::error::{EngineError, EngineResult};
+use crate::journal::UndoJournal;
 use birds_core::{incrementalize, validate, UpdateStrategy};
 use birds_datalog::{parse_program, DeltaKind, Literal, PredRef, Program, Rule};
 use birds_eval::{evaluate_program, evaluate_query, rule_has_witness, EvalContext, PlanCache};
 use birds_sql::{parse_script, DmlStatement};
 use birds_store::{
-    Database, DatabaseSchema, Delta, DeltaSet, Relation, RelationVersion, Schema, Tuple,
+    Database, DatabaseSchema, Delta, DeltaSet, Relation, RelationVersion, Schema, StoreError, Tuple,
 };
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
@@ -258,7 +259,7 @@ impl Engine {
     /// published version. This is the engine half of the service's MVCC
     /// snapshot publication: after applying an epoch's deltas (still
     /// under the shard's write lock), the service calls this and swaps
-    /// the result into the shard's snapshot cell. Cost per relation is
+    /// the result into its published image. Cost per relation is
     /// `O(delta since its previous publication)` — untouched relations
     /// re-share their previous version in `O(1)`, and touched ones
     /// replay only their effective mutations into an alternate shadow
@@ -518,7 +519,6 @@ impl Engine {
         // relations are empty — the smallest they will ever be — so the
         // greedy planner pins exactly the delta-driven join orders that
         // subsequent updates want, and real updates replay compiled plans.
-        let t = std::time::Instant::now();
         let program = incremental.as_ref().unwrap_or(&strategy.putdelta);
         let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
         if let Some(sink) = self.read_trace.as_deref() {
@@ -535,9 +535,6 @@ impl Engine {
             ));
         }
         let _ = evaluate_program(program, &mut ctx)?;
-        if std::env::var_os("BIRDS_ENGINE_DEBUG").is_some() {
-            eprintln!("[engine] warm-up ({mode:?}): {:?}", t.elapsed());
-        }
         Ok(incremental)
     }
 
@@ -600,12 +597,8 @@ impl Engine {
             .db
             .relation(&table)
             .ok_or_else(|| EngineError::NotAView(table.clone()))?;
-        let t0 = std::time::Instant::now();
         let delta = derive_view_delta(view_rel, &rv.strategy.view, statements)?;
-        if std::env::var_os("BIRDS_ENGINE_DEBUG").is_some() {
-            eprintln!("[engine] derive_view_delta: {:?}", t0.elapsed());
-        }
-        self.apply_view_delta(&table, delta, 0)
+        self.apply_atomically(&table, delta, &mut UndoJournal::new())
     }
 
     /// Derive the net (normalized, effective) view delta of a statement
@@ -634,12 +627,24 @@ impl Engine {
     /// current view state first (insertions already present and deletions
     /// already absent are dropped), so a delta derived earlier in a
     /// session stays safe to apply after unrelated updates. The
-    /// transaction is atomic: constraint violations and contradictory
-    /// source deltas roll the view back.
-    pub fn apply_delta(
+    /// transaction is atomic: on any error (a constraint violation, a
+    /// contradictory source delta, a rejected cascade) everything it
+    /// mutated — view, base tables, sub-views — is rolled back.
+    pub fn apply_delta(&mut self, view_name: &str, delta: Delta) -> EngineResult<ExecutionStats> {
+        self.apply_delta_journaled(view_name, delta, &mut UndoJournal::new())
+    }
+
+    /// [`Engine::apply_delta`], recording every effective mutation —
+    /// the view, the base tables, each cascaded sub-view — in `journal`.
+    /// On error this call's own mutations are undone and `journal` is
+    /// left as it was; on success they stay recorded, so a caller
+    /// batching several views into one transaction can revert them all
+    /// with [`Engine::undo`] when a later one fails.
+    pub fn apply_delta_journaled(
         &mut self,
         view_name: &str,
         mut delta: Delta,
+        journal: &mut UndoJournal,
     ) -> EngineResult<ExecutionStats> {
         let rv = self
             .views
@@ -662,36 +667,40 @@ impl Engine {
             .relation(view_name)
             .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
         delta.normalize_against(view_rel);
-        self.apply_view_delta(view_name, delta, 0)
+        self.apply_atomically(view_name, delta, journal)
     }
 
-    /// Apply one batched delta per view, each in a single strategy
-    /// evaluation, in iteration order. Atomicity is **per view**: if the
-    /// k-th delta is rejected (constraint violation, contradictory source
-    /// delta), the first k−1 stay applied and the error is returned with
-    /// the offending view's name — callers that need all-or-nothing
-    /// semantics should batch per view. Stats are summed over all views.
-    pub fn apply_deltas(
+    /// Revert every mutation recorded in `journal` (newest first) and
+    /// empty it: the undo of a transaction that spans several
+    /// [`Engine::apply_delta_journaled`] calls.
+    pub fn undo(&mut self, journal: &mut UndoJournal) {
+        journal.undo_to(&mut self.db, 0);
+    }
+
+    /// Run the trigger pipeline; if it fails, undo what it mutated.
+    fn apply_atomically(
         &mut self,
-        deltas: impl IntoIterator<Item = (String, Delta)>,
+        view_name: &str,
+        delta: Delta,
+        journal: &mut UndoJournal,
     ) -> EngineResult<ExecutionStats> {
-        let mut total = ExecutionStats::default();
-        for (view_name, delta) in deltas {
-            let stats = self.apply_delta(&view_name, delta)?;
-            total.view_delta_size += stats.view_delta_size;
-            total.source_delta_size += stats.source_delta_size;
-            total.cascades += stats.cascades;
+        let mark = journal.mark();
+        let result = self.apply_view_delta(view_name, delta, 0, journal);
+        if result.is_err() {
+            journal.undo_to(&mut self.db, mark);
         }
-        Ok(total)
+        result
     }
 
     /// Apply an (effective, normalized) view delta to a registered view:
-    /// the trigger pipeline of §6.1.
+    /// the trigger pipeline of §6.1. Every effective mutation goes
+    /// through `journal`; on error the caller undoes them.
     fn apply_view_delta(
         &mut self,
         view_name: &str,
         delta: Delta,
         depth: usize,
+        journal: &mut UndoJournal,
     ) -> EngineResult<ExecutionStats> {
         if depth > 8 {
             return Err(EngineError::Eval(
@@ -714,8 +723,6 @@ impl Engine {
             .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
         let mode = rv.mode;
 
-        let debug = std::env::var_os("BIRDS_ENGINE_DEBUG").is_some();
-        let t_eval = std::time::Instant::now();
         // Compute ΔS. In incremental mode the program reads the OLD view
         // plus the delta relations; in original mode it reads the updated
         // view V′, so we mutate the materialized view first.
@@ -740,7 +747,7 @@ impl Engine {
                 collect_delta_set(&rv.strategy, out.relations)
             }
             StrategyMode::Original => {
-                mutate_view_relation(&mut self.db, view_name, &delta, false)?;
+                mutate_view_relation(&mut self.db, journal, view_name, &delta)?;
                 let mut ctx = EvalContext::with_plan_cache(&mut self.db, &mut self.plan_cache);
                 if let Some(sink) = self.read_trace.as_deref() {
                     ctx.trace_reads_into(sink);
@@ -750,42 +757,22 @@ impl Engine {
             }
         };
 
-        if debug {
-            eprintln!(
-                "[engine] delta computation ({mode:?}): {:?}",
-                t_eval.elapsed()
-            );
-        }
-
         // For the incremental path, the constraints are checked against
         // the updated view, so mutate now.
-        let t_mut = std::time::Instant::now();
         if mode == StrategyMode::Incremental {
-            mutate_view_relation(&mut self.db, view_name, &delta, false)?;
+            mutate_view_relation(&mut self.db, journal, view_name, &delta)?;
         }
 
         // Constraint check over (S, V′).
-        let t_check = std::time::Instant::now();
-        if let Err(e) = check_constraints(
+        check_constraints(
             &mut self.db,
             &mut self.plan_cache,
             self.read_trace.as_deref(),
             &rv.strategy,
             &delta,
-        ) {
-            mutate_view_relation(&mut self.db, view_name, &delta, true)?; // rollback
-            return Err(e);
-        }
-        if debug {
-            eprintln!(
-                "[engine] mutate: {:?}  constraints: {:?}",
-                t_check.duration_since(t_mut),
-                t_check.elapsed()
-            );
-        }
+        )?;
 
         if !delta_set.is_non_contradictory() {
-            mutate_view_relation(&mut self.db, view_name, &delta, true)?;
             return Err(EngineError::ContradictoryDelta(format!(
                 "view update on '{view_name}'"
             )));
@@ -794,63 +781,45 @@ impl Engine {
 
         // Apply ΔS: base tables directly; registered views cascade.
         let mut cascades: Vec<(String, Delta)> = Vec::new();
-        let mut base: DeltaSet = DeltaSet::new();
         for (rel_name, d) in delta_set.iter() {
             if d.is_empty() {
                 continue;
             }
+            let rel = self
+                .db
+                .relation_mut(rel_name)
+                .ok_or_else(|| StoreError::UnknownRelation(rel_name.to_owned()))?;
             if self.views.contains_key(rel_name) {
                 // Normalize against the current (old) state of that view.
-                let rel = self
-                    .db
-                    .relation(rel_name)
-                    .ok_or_else(|| EngineError::NotAView(rel_name.to_owned()))?;
                 let mut eff = d.clone();
                 eff.insertions.retain(|t| !rel.contains(t));
                 eff.deletions.retain(|t| rel.contains(t));
                 cascades.push((rel_name.to_owned(), eff));
             } else {
-                let entry = base.entry(rel_name);
-                entry.insertions.extend(d.insertions.iter().cloned());
-                entry.deletions.extend(d.deletions.iter().cloned());
+                journal.apply(rel, d)?;
             }
-        }
-        if let Err(e) = base.apply_to(&mut self.db) {
-            mutate_view_relation(&mut self.db, view_name, &delta, true)?;
-            return Err(EngineError::Store(e.to_string()));
         }
         for (sub_view, sub_delta) in cascades {
             stats.cascades += 1;
-            let sub_stats = self.apply_view_delta(&sub_view, sub_delta, depth + 1)?;
+            let sub_stats = self.apply_view_delta(&sub_view, sub_delta, depth + 1, journal)?;
             stats.cascades += sub_stats.cascades;
         }
         Ok(stats)
     }
 }
 
-/// Apply (or roll back) an effective view delta on the materialized
-/// view relation.
+/// Apply an effective view delta to the materialized view relation,
+/// recording it in `journal`.
 fn mutate_view_relation(
     db: &mut Database,
+    journal: &mut UndoJournal,
     view_name: &str,
     delta: &Delta,
-    rollback: bool,
 ) -> EngineResult<()> {
     let rel = db
         .relation_mut(view_name)
         .ok_or_else(|| EngineError::NotAView(view_name.to_owned()))?;
-    let (ins, del) = if rollback {
-        (&delta.deletions, &delta.insertions)
-    } else {
-        (&delta.insertions, &delta.deletions)
-    };
-    for t in del {
-        rel.remove(t);
-    }
-    for t in ins {
-        rel.insert(t.clone())?;
-    }
-    Ok(())
+    Ok(journal.apply(rel, delta)?)
 }
 
 /// Check the strategy's constraints against the current `(S, V′)`.
@@ -1367,6 +1336,81 @@ mod tests {
         assert!(w.contains(&tuple![9]) && !w.contains(&tuple![8]));
     }
 
+    /// `w = σ_{a>2}(v)` over `v = σ_{a<100}(r)`, r = {1, 3}.
+    fn selection_cascade_engine(mode: StrategyMode) -> Engine {
+        let mut db = Database::new();
+        db.add_relation(Relation::with_tuples("r", 1, vec![tuple![1], tuple![3]]).unwrap())
+            .unwrap();
+        let mut engine = Engine::new(db);
+        for (source, view, bound) in [("r", "v", "X < 100"), ("v", "w", "X > 2")] {
+            let strategy = UpdateStrategy::parse(
+                DatabaseSchema::new().with(Schema::new(source, vec![("a", SortKind::Int)])),
+                Schema::new(view, vec![("a", SortKind::Int)]),
+                &format!(
+                    "false :- {view}(X), not {bound}.
+                     +{source}(X) :- {view}(X), not {source}(X).
+                     m{view}(X) :- {source}(X), {bound}.
+                     -{source}(X) :- m{view}(X), not {view}(X)."
+                ),
+                None,
+            )
+            .unwrap();
+            engine.register_view(strategy, mode).unwrap();
+        }
+        engine
+    }
+
+    #[test]
+    fn failed_cascade_undoes_every_level() {
+        for mode in [StrategyMode::Original, StrategyMode::Incremental] {
+            let mut engine = selection_cascade_engine(mode);
+            // w accepts 500, but the cascaded insert violates v's bound.
+            let err = engine.execute("INSERT INTO w VALUES (500);").unwrap_err();
+            assert!(
+                matches!(&err, EngineError::ConstraintViolation { view, .. } if view == "v"),
+                "{mode:?}: {err:?}"
+            );
+            for (name, expected) in [
+                ("r", vec![tuple![1], tuple![3]]),
+                ("v", vec![tuple![1], tuple![3]]),
+                ("w", vec![tuple![3]]),
+            ] {
+                let mut now: Vec<Tuple> = engine.relation(name).unwrap().iter().cloned().collect();
+                now.sort();
+                assert_eq!(now, expected, "{mode:?}: {name} changed");
+            }
+            // The same update within bounds still cascades to r.
+            engine.execute("INSERT INTO w VALUES (50);").unwrap();
+            assert!(engine.relation("r").unwrap().contains(&tuple![50]));
+        }
+    }
+
+    #[test]
+    fn journal_spans_views_and_undoes_them_together() {
+        let mut engine = selection_cascade_engine(StrategyMode::Incremental);
+        let mut journal = UndoJournal::new();
+        let mut first = Delta::new();
+        first.push_insert(tuple![7]);
+        engine
+            .apply_delta_journaled("w", first, &mut journal)
+            .unwrap();
+        assert!(engine.relation("r").unwrap().contains(&tuple![7]));
+        // A failing second application undoes only itself.
+        let mut second = Delta::new();
+        second.push_insert(tuple![200]);
+        assert!(engine
+            .apply_delta_journaled("v", second, &mut journal)
+            .is_err());
+        assert!(engine.relation("w").unwrap().contains(&tuple![7]));
+        engine.undo(&mut journal);
+        for name in ["r", "v", "w"] {
+            assert!(
+                !engine.relation(name).unwrap().contains(&tuple![7]),
+                "{name}"
+            );
+        }
+    }
+
     #[test]
     fn empty_transaction_is_noop() {
         let mut engine = union_engine(StrategyMode::Original);
@@ -1461,17 +1505,6 @@ mod tests {
         assert_eq!(stats.view_delta_size, 1, "only the new tuple survives");
         assert!(engine.relation("v").unwrap().contains(&tuple![50]));
         assert!(engine.relation("r1").unwrap().contains(&tuple![50]));
-    }
-
-    #[test]
-    fn apply_deltas_sums_stats_across_views() {
-        let mut engine = union_engine(StrategyMode::Incremental);
-        let mut d = Delta::new();
-        d.push_insert(tuple![70]);
-        d.push_insert(tuple![71]);
-        let stats = engine.apply_deltas(vec![("v".to_owned(), d)]).unwrap();
-        assert_eq!(stats.view_delta_size, 2);
-        assert!(engine.relation("r1").unwrap().contains(&tuple![70]));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 pub mod algorithm2;
 pub mod engine;
 pub mod error;
+pub mod journal;
 pub mod snapshot;
 
 pub use algorithm2::derive_view_delta;
@@ -31,4 +32,5 @@ pub use engine::{
     strategy_touches, Engine, ExecutionStats, StrategyMode, ViewDefinition, ViewFootprint,
 };
 pub use error::{EngineError, EngineResult};
+pub use journal::UndoJournal;
 pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_MAGIC};

@@ -48,8 +48,9 @@
 //! shard locks themselves recover instead).
 
 use crate::error::{ServiceError, ServiceResult};
-use birds_engine::{Engine, ExecutionStats};
+use birds_engine::{Engine, EngineResult, ExecutionStats, UndoJournal};
 use birds_sql::DmlStatement;
+use birds_store::Delta;
 use birds_wal::{FsyncPolicy, SegmentWriter, WalRecord};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,6 +210,26 @@ impl GroupCommitter {
     }
 }
 
+/// Derive the net delta of `statements` against the in-lock state of
+/// `view` and apply it in one incremental pass, recording its effects
+/// in `journal` (a failed application has already undone its own). The
+/// derived delta is normalized against that same state, so it is
+/// exactly what gets applied: with `log` set, a copy is returned as the
+/// replay-log entry, unless it is empty (no durable effect). The
+/// in-memory hot path pays no clone.
+pub(crate) fn derive_and_apply(
+    engine: &mut Engine,
+    view: &str,
+    statements: &[DmlStatement],
+    log: bool,
+    journal: &mut UndoJournal,
+) -> EngineResult<(Option<Delta>, ExecutionStats)> {
+    let delta = engine.derive_delta(view, statements)?;
+    let log_copy = (log && !delta.is_empty()).then(|| delta.clone());
+    let stats = engine.apply_delta_journaled(view, delta, journal)?;
+    Ok((log_copy, stats))
+}
+
 /// Apply one epoch under the shard's write lock: group members by view
 /// (first appearance order, preserving queue order within a view),
 /// coalesce each group into one net delta and apply it in a single
@@ -248,26 +269,15 @@ pub(crate) fn process_epoch(
     // of later durability failures — memory changed either way): the
     // snapshot publication tag.
     let mut max_applied: Option<u64> = None;
+    let log = wal.is_some();
+    // Every application below commits on its own, so each gets a fresh
+    // journal, read only by the engine's undo of a failed application.
     for (view, group) in groups {
         let coalesced: Vec<DmlStatement> = group
             .iter()
             .flat_map(|tx| tx.statements.iter().cloned())
             .collect();
-        // Derive the net delta, keep a copy for the WAL (durable
-        // services only — the in-memory hot path pays no clone), apply
-        // it. The derived delta is normalized against the in-lock view
-        // state, so it is byte-for-byte the delta that gets applied —
-        // the exact replay-log entry.
-        let net = engine.derive_delta(&view, &coalesced).and_then(|delta| {
-            let log_copy = wal
-                .is_some()
-                .then(|| delta.clone())
-                .filter(|d| !d.is_empty());
-            engine
-                .apply_delta(&view, delta)
-                .map(|stats| (log_copy, stats))
-        });
-        match net {
+        match derive_and_apply(engine, &view, &coalesced, log, &mut UndoJournal::new()) {
             Ok((log_copy, stats)) => {
                 let seqs: Vec<u64> = group
                     .iter()
@@ -275,8 +285,8 @@ pub(crate) fn process_epoch(
                     .collect();
                 max_applied = seqs.last().copied().or(max_applied);
                 let logged = match (wal, log_copy) {
-                    // An empty net delta (`log_copy` filtered to None)
-                    // has no durable effect and is not logged — matching
+                    // An empty net delta (`log_copy` is None) has no
+                    // durable effect and is not logged — matching
                     // the batch-commit path; such a transaction's seq is
                     // not persisted (see `Service::commits`).
                     (Some(wal), Some(delta)) => wal
@@ -302,18 +312,8 @@ pub(crate) fn process_epoch(
                 // per-transaction semantics by replaying individually
                 // (each successful member logged as its own record).
                 for tx in group {
-                    let net = engine
-                        .derive_delta(&tx.view, &tx.statements)
-                        .and_then(|delta| {
-                            let log_copy = wal
-                                .is_some()
-                                .then(|| delta.clone())
-                                .filter(|d| !d.is_empty());
-                            engine
-                                .apply_delta(&tx.view, delta)
-                                .map(|stats| (log_copy, stats))
-                        });
-                    match net {
+                    let journal = &mut UndoJournal::new();
+                    match derive_and_apply(engine, &tx.view, &tx.statements, log, journal) {
                         Ok((log_copy, stats)) => {
                             let seq = commit_seq.fetch_add(1, Ordering::SeqCst) + 1;
                             max_applied = Some(seq);

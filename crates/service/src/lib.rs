@@ -24,12 +24,13 @@
 //! * [`snapshot`] — **MVCC snapshot reads**. Every commit publishes an
 //!   immutable, `Arc`-shared image of each shard it touched (copy-on-
 //!   write at the tuple-set level, so only touched relations are
-//!   rebuilt), tagged with the shard's high-water commit seq. All reads
-//!   — [`Service::query`], [`Service::read`], [`Service::snapshot`],
-//!   stats — run lock-free against those images: readers never wait for
+//!   rebuilt), tagged with the shard's high-water commit seq, into one
+//!   published service image swapped by a single pointer store. All
+//!   reads — [`Service::query`], [`Service::read`], [`Service::snapshot`],
+//!   stats — run lock-free against that image: readers never wait for
 //!   writers, writers never wait for readers, and a pinned
-//!   [`ServiceSnapshot`] stays commit-seq-consistent for as long as the
-//!   reader holds it. Checkpoints serialize the published snapshots
+//!   [`ServiceSnapshot`] is a prefix of the commit order for as long as
+//!   the reader holds it. Checkpoints serialize the published snapshots
 //!   instead of stop-the-world locking every shard.
 //! * [`Service`] — a cheap-to-clone, thread-safe handle over the shard
 //!   set; [`Service::snapshot`] pins a consistent all-shard image,

@@ -18,7 +18,7 @@
 //! ## Live topology
 //!
 //! The sharded state — lock slots, routing table, group-commit queues,
-//! snapshot cells, WAL segment writers — lives in one `Topology`
+//! WAL segment writers — lives in one `Topology`
 //! value behind an `Arc` that every request loads exactly once
 //! (`Service::topology`). Dynamic registration
 //! ([`Service::register_view`] / [`Service::unregister_view`]) builds a
@@ -31,14 +31,15 @@
 //! ([`Engine::merge`]), mutated, re-split, and installed under **fresh**
 //! slot `Arc`s, so a stale thread that raced the swap can never touch a
 //! new engine through an old lock set: it finds `None`, reloads the
-//! topology, and retries. Surviving shards carry their slot, cell and
+//! topology, and retries. Surviving shards carry their slot and
 //! committer `Arc`s across generations unchanged — `LockId` *i* names
 //! the same lock in every generation, which keeps ascending-order
 //! acquisition deadlock-free even when old- and new-generation threads
 //! interleave.
 //!
 //! Lock order across the subsystem: checkpoint lock → registration
-//! lock → shard locks (ascending) → WAL writer mutex. Registrations
+//! lock → shard locks (ascending) → WAL writer mutex; the published
+//! image's cell lock is a leaf. Registrations
 //! serialize on the registration lock; checkpoints freeze the
 //! registration set for their whole duration by taking that lock too.
 //!
@@ -50,14 +51,20 @@
 //!   is a valid serial history. Registrations consume a seq from the
 //!   same counter while holding every affected shard's write lock, so
 //!   the WAL's interleaving of topology changes and commits is exact.
-//! * **Snapshot visibility**: every commit publishes each touched
-//!   shard's [`ShardSnapshot`] *before releasing its locks and before
-//!   acknowledging any client* — a client that saw `Ok` finds its write
-//!   on the lock-free read path, and a reader never sees a commit's
-//!   effects before that commit's WAL record was appended. A
-//!   registration publishes every replacement shard's snapshot (tagged
-//!   with the registration's seq) *before* the topology swap, so both
-//!   generations are consistent cuts at every instant.
+//! * **All-or-nothing commits**: every view application of a commit
+//!   records its effective mutations in an [`UndoJournal`]; if any view
+//!   of a batch fails, the journals revert the earlier ones, and the
+//!   commit takes no seq, writes no WAL record and publishes nothing.
+//! * **Snapshot visibility**: every commit publishes its touched
+//!   shards' [`ShardSnapshot`]s in one swap of the service image
+//!   *before releasing its locks and before acknowledging any client* —
+//!   a client that saw `Ok` finds its write on the lock-free read path,
+//!   a reader never sees a commit's effects before that commit's WAL
+//!   record was appended, and an image holding a commit holds every
+//!   commit acknowledged before it. A registration swaps in the
+//!   successor image (replacement shards tagged with the registration's
+//!   seq) *before* the topology swap, so a new-generation writer always
+//!   finds its slot in the image.
 //! * **Durability coupling**: on a durable service, no result slot is
 //!   filled until the epoch-end fsync ran (see [`crate::group_commit`]),
 //!   and a registration is installed only after its
@@ -67,8 +74,8 @@
 //!
 //! Reads never touch the shard engine locks: [`Service::query`],
 //! [`Service::relation_stats`], [`Service::view_names`] and
-//! [`Service::read`]/[`Service::snapshot`] all work against the shards'
-//! published MVCC snapshots ([`crate::snapshot`]). A long analytical
+//! [`Service::read`]/[`Service::snapshot`] all work against the
+//! published service image ([`crate::snapshot`]). A long analytical
 //! read holds an `Arc` to an immutable image; writers keep committing
 //! (each publication refreshes a shadow buffer, never the pinned one)
 //! and readers keep reading — neither waits for the other.
@@ -86,12 +93,13 @@
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::footprint::{partition, ShardMap};
-use crate::group_commit::{EpochWal, GroupCommitter, PendingTx};
+use crate::group_commit::{derive_and_apply, EpochWal, GroupCommitter, PendingTx};
 use crate::locks::{LockId, LockManager};
-use crate::snapshot::{ServiceSnapshot, ShardSnapshot, SnapshotCell};
+use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use birds_core::UpdateStrategy;
 use birds_engine::{
-    strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, ViewDefinition,
+    strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, UndoJournal,
+    ViewDefinition,
 };
 use birds_sql::{parse_script, DmlStatement};
 use birds_store::{Database, Delta, Relation, RelationVersion, Tuple};
@@ -101,7 +109,7 @@ use birds_wal::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Duration;
 
 /// Service tuning knobs.
@@ -190,10 +198,10 @@ struct WalState {
 
 /// One generation of the sharded state. Every request loads the current
 /// generation exactly once (`Service::topology`) and works against a
-/// consistent quintuple; a live re-shard builds a successor and swaps
+/// consistent quadruple; a live re-shard builds a successor and swaps
 /// the `Arc` while holding the affected shards' write locks.
 ///
-/// All five vectors are indexed by [`LockId`]; a retired slot (its
+/// All four vectors are indexed by [`LockId`]; a retired slot (its
 /// engine merged away by a re-shard that didn't reuse the index) holds
 /// `None` forever and is never routed to.
 struct Topology {
@@ -201,16 +209,12 @@ struct Topology {
     /// shard; slot order is [`LockId`] order. `None` marks a retired
     /// slot — a stale thread that finds it reloads the topology.
     shards: LockManager<Option<Engine>>,
-    /// Relation name → owning shard (shared with every
-    /// [`ServiceSnapshot`] handed out).
+    /// Relation name → owning shard (shared with the published image).
     route: Arc<ShardMap>,
     /// One group-commit queue per shard. A retired shard's committer is
     /// closed by the re-shard that retired it; its queued transactions
     /// migrate to the successor's committers.
     committers: Vec<Arc<GroupCommitter>>,
-    /// One published-snapshot cell per shard; the entire lock-free read
-    /// path hangs off these. Survivors share cells across generations.
-    cells: Vec<Arc<SnapshotCell>>,
     /// One WAL segment writer per shard (empty on in-memory services).
     /// Shared across generations so a surviving shard's log continues
     /// seamlessly through a re-shard.
@@ -226,21 +230,12 @@ struct ServiceInner {
     /// registration set while the manifest is written.
     registration_lock: Mutex<()>,
     commit_seq: AtomicU64,
-    /// Seqlock over *multi-shard* snapshot publication: odd while a
-    /// multi-shard commit is swapping several cells, bumped to even
-    /// when done. Single-shard commits never touch it — they commute
-    /// with each other, so any mix of their publications is a
-    /// consistent cut; only a multi-shard commit can establish a
-    /// cross-shard invariant that a reader must not see half of.
-    publication_seq: AtomicU64,
-    /// Serializes multi-shard publications. Two batch commits with
-    /// *disjoint* multi-shard footprints hold disjoint shard locks, so
-    /// without this their seqlock brackets would interleave — two
-    /// opening increments make the counter even again (0→1→2) while
-    /// both are still mid-swap, and a reader could assemble a torn
-    /// cut. Held only around the pointer swaps (no engine work), so
-    /// the cost is negligible.
-    publication_lock: Mutex<()>,
+    /// The published service image: every shard's latest snapshot plus
+    /// the route. The entire lock-free read path is one load of this
+    /// pointer; every publication is one swap. A leaf lock: nothing is
+    /// acquired while holding it, and it is held only for a pointer
+    /// clone or for building the successor's shard vector.
+    image: RwLock<Arc<ServiceSnapshot>>,
     config: ServiceConfig,
     /// `Some` when the service is durable ([`Service::open`]).
     wal: Option<WalState>,
@@ -554,30 +549,30 @@ impl Service {
             .map(|_| Arc::new(GroupCommitter::new()))
             .collect();
         let shards = LockManager::new(components.into_iter().map(Some).collect());
-        // Initial snapshot publication: every shard's image as of the
-        // recovered (or zero) commit seq. Nothing is shared yet, so no
-        // locks are needed.
-        let cells: Vec<Arc<SnapshotCell>> = shards
+        // Initial publication: every shard's image as of the recovered
+        // (or zero) commit seq. Nothing is shared yet, so the slot
+        // locks are uncontended.
+        let images = shards
             .ids()
             .map(|id| {
                 let mut slot = shards.write(id);
                 let engine = slot.as_mut().expect("fresh slots are live");
-                Arc::new(SnapshotCell::new(ShardSnapshot::capture(engine, start_seq)))
+                Arc::new(ShardSnapshot::capture(engine, start_seq))
             })
             .collect();
+        let route = Arc::new(route);
+        let image = ServiceSnapshot::new(images, Arc::clone(&route));
         Ok(Service {
             inner: Arc::new(ServiceInner {
                 topology: RwLock::new(Arc::new(Topology {
                     shards,
-                    route: Arc::new(route),
+                    route,
                     committers,
-                    cells,
                     writers,
                 })),
                 registration_lock: Mutex::new(()),
                 commit_seq: AtomicU64::new(start_seq),
-                publication_seq: AtomicU64::new(0),
-                publication_lock: Mutex::new(()),
+                image: RwLock::new(Arc::new(image)),
                 config,
                 wal,
             }),
@@ -612,19 +607,16 @@ impl Service {
 }
 
 impl Service {
-    /// Assemble a consistent, **lock-free** snapshot over every shard —
-    /// the MVCC read entry point. The returned [`ServiceSnapshot`] is an
-    /// owned value: pin it as long as you like; it observes none of the
-    /// commits that land after assembly, and holding it never blocks a
-    /// writer (nor vice versa — no shard engine lock is taken).
+    /// The published service image — the MVCC read entry point, one
+    /// pointer load. Pin it as long as you like; it observes none of
+    /// the commits published after the load, and holding it never
+    /// blocks a writer (nor vice versa — no shard engine lock is
+    /// taken).
     ///
-    /// Cross-shard consistency: single-shard commits publish their cell
-    /// independently (they commute, so any mix of cells is a consistent
-    /// cut); only multi-shard commits bracket their publication with the
-    /// publication seqlock, and assembly retries the cheap pointer
-    /// collection while one is in flight. A live re-shard swaps the
-    /// whole topology `Arc` atomically, so assembly sees either
-    /// generation in full — never a mix.
+    /// The image is closed under commit order: if it holds a commit, it
+    /// holds every commit acknowledged before that one, on every shard.
+    /// A multi-shard batch and a live re-shard each replace the image
+    /// in one swap, so neither is ever half-visible.
     ///
     /// ```
     /// # use birds_service::Service;
@@ -640,36 +632,21 @@ impl Service {
     /// assert_eq!(pinned.commit_seq(), 0); // nothing committed yet
     /// assert!(pinned.relation("nope").is_none());
     /// ```
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        let topo = self.topology();
-        if topo.cells.len() <= 1 {
-            // A single cell load is trivially consistent.
-            let shards = topo.cells.iter().map(|cell| cell.load()).collect();
-            return ServiceSnapshot::new(shards, Arc::clone(&topo.route));
-        }
-        let mut spins = 0u32;
-        loop {
-            let before = self.inner.publication_seq.load(Ordering::Acquire);
-            if before % 2 == 1 {
-                // A multi-shard publication is mid-swap; its cell stores
-                // are pointer writes, so it normally clears within a few
-                // spins. If the publisher was preempted inside the
-                // bracket, yield instead of burning CPU (on a single
-                // core a pure spin could starve the very thread we are
-                // waiting on).
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            let shards: Vec<_> = topo.cells.iter().map(|cell| cell.load()).collect();
-            if self.inner.publication_seq.load(Ordering::Acquire) == before {
-                return ServiceSnapshot::new(shards, Arc::clone(&topo.route));
-            }
-        }
+    pub fn snapshot(&self) -> Arc<ServiceSnapshot> {
+        let image = self.inner.image.read();
+        Arc::clone(&image.unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Replace the published image with `next(current)` — one
+    /// read-modify-write under the image lock, so concurrent publishers
+    /// (on disjoint shards) never lose each other's entries.
+    fn swap_image(&self, next: impl FnOnce(&ServiceSnapshot) -> ServiceSnapshot) {
+        let mut image = self
+            .inner
+            .image
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        *image = Arc::new(next(&image));
     }
 
     /// Run a closure against a consistent whole-service snapshot — a
@@ -695,7 +672,8 @@ impl Service {
     }
 
     /// Sorted snapshot of a relation's tuples, read lock-free from the
-    /// owning shard's published snapshot.
+    /// published image. Only that relation's version stays pinned while
+    /// the tuples are copied and sorted.
     /// [`ServiceError::UnknownRelation`] for names no shard owns.
     ///
     /// ```
@@ -714,14 +692,10 @@ impl Service {
     /// # Ok::<(), birds_service::ServiceError>(())
     /// ```
     pub fn query(&self, relation: &str) -> ServiceResult<Vec<Tuple>> {
-        let topo = self.topology();
-        let shard = topo
-            .route
-            .shard_of(relation)
-            .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-        let snapshot = topo.cells[shard.index()].load();
-        let rel = snapshot
+        let rel = self
+            .snapshot()
             .relation(relation)
+            .cloned()
             .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
         let mut tuples: Vec<Tuple> = rel.iter().cloned().collect();
         tuples.sort();
@@ -736,13 +710,13 @@ impl Service {
 
     /// Statistics for every relation, in name order — from the
     /// published snapshots, no shard lock taken. The counts are a
-    /// consistent cut (see [`Service::snapshot`]); the index hit/miss
+    /// commit-order prefix (see [`Service::snapshot`]); the index hit/miss
     /// counters are cumulative as of each relation's last publication,
     /// so a climbing miss count flags a probe path that fell back to a
     /// full scan (planner/registration drift) instead of failing silently.
     pub fn relation_stats(&self) -> Vec<RelationStats> {
-        let snapshot = self.snapshot();
-        let mut stats: Vec<RelationStats> = snapshot
+        let mut stats: Vec<RelationStats> = self
+            .snapshot()
             .relations()
             .map(|rel| RelationStats {
                 name: rel.name().to_owned(),
@@ -787,34 +761,6 @@ impl Service {
         })
     }
 
-    /// Bench hook: the pre-MVCC read path — acquire the owning shard's
-    /// read lock and copy the live relation. Kept (hidden) so the
-    /// reader/writer-interference benchmark can measure the locked
-    /// baseline against the lock-free [`Service::query`].
-    #[doc(hidden)]
-    pub fn debug_query_locked(&self, relation: &str) -> ServiceResult<Vec<Tuple>> {
-        loop {
-            let topo = self.topology();
-            let shard = topo
-                .route
-                .shard_of(relation)
-                .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-            let slot = topo.shards.read(shard);
-            let Some(engine) = slot.as_ref() else {
-                // Raced a live re-shard into a retired slot: reload.
-                drop(slot);
-                std::thread::yield_now();
-                continue;
-            };
-            let rel = engine
-                .relation(relation)
-                .ok_or_else(|| ServiceError::UnknownRelation(relation.to_owned()))?;
-            let mut tuples: Vec<Tuple> = rel.iter().cloned().collect();
-            tuples.sort();
-            return Ok(tuples);
-        }
-    }
-
     /// Test hook: drain the engines' shared read-trace sink (enable it
     /// with [`Engine::set_read_trace`] before constructing the
     /// service). All shards share one sink `Arc`, so draining any live
@@ -832,52 +778,17 @@ impl Service {
         BTreeSet::new()
     }
 
-    /// Publish `shard`'s current image at high-water seq `commit_seq`.
-    /// Must be called while the shard's write lock is held (the `engine`
-    /// reference is the proof), so publications are ordered like
-    /// commits.
-    fn publish_shard(&self, topo: &Topology, shard: LockId, engine: &mut Engine, commit_seq: u64) {
-        topo.cells[shard.index()].publish(ShardSnapshot::capture(engine, commit_seq));
-    }
-
-    /// Publish every shard in a batch commit's footprint. With a new
-    /// seq (`Some`) the shards' high-water advances to it; with `None`
-    /// (the no-seq in-memory error path) each shard republishes its
-    /// mutated contents at its unchanged high-water. Multi-shard
-    /// publications serialize on `publication_lock` and bracket with
-    /// the publication seqlock so a concurrent [`Service::snapshot`]
-    /// never assembles half of one.
-    fn publish_guarded(
-        &self,
-        topo: &Topology,
-        guards: &mut [(LockId, RwLockWriteGuard<'_, Option<Engine>>)],
-        seq: Option<u64>,
-    ) {
-        let multi = guards.len() > 1;
-        // Disjoint multi-shard footprints don't contend on any shard
-        // lock, so the seqlock bracket alone can't keep them apart:
-        // serialize here, making "counter is odd" equivalent to
-        // "exactly one publication is mid-swap". The critical section
-        // is Arc pointer swaps only.
-        let _serialized = multi.then(|| {
-            self.inner
-                .publication_lock
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        });
-        if multi {
-            // Odd: publication in flight.
-            self.inner.publication_seq.fetch_add(1, Ordering::AcqRel);
-        }
-        for (id, slot) in guards.iter_mut() {
-            let publish_seq = seq.unwrap_or_else(|| topo.cells[id.index()].load().commit_seq());
-            let engine = slot.as_mut().expect("commit holds live slots");
-            self.publish_shard(topo, *id, engine, publish_seq);
-        }
-        if multi {
-            // Even: done.
-            self.inner.publication_seq.fetch_add(1, Ordering::AcqRel);
-        }
+    /// Publish the write-locked `shards`' current contents at
+    /// high-water seq `seq`. Each shard is captured under its held lock
+    /// (so publications are ordered like commits); then all of them
+    /// enter the image in one swap, so a reader sees every shard of the
+    /// commit or none.
+    fn publish<'e>(&self, shards: impl IntoIterator<Item = (LockId, &'e mut Engine)>, seq: u64) {
+        let fresh: Vec<(usize, Arc<ShardSnapshot>)> = shards
+            .into_iter()
+            .map(|(id, engine)| (id.index(), Arc::new(ShardSnapshot::capture(engine, seq))))
+            .collect();
+        self.swap_image(|image| image.successor(None, fresh));
     }
 
     /// Number of committed transactions (autocommit scripts, batch
@@ -982,9 +893,7 @@ impl Service {
                                     &self.inner.commit_seq,
                                     epoch,
                                     epoch_wal.as_ref(),
-                                    // Single-shard publication: no seqlock
-                                    // bracket needed (see `publication_seq`).
-                                    |engine, seq| self.publish_shard(&topo, shard, engine, seq),
+                                    |engine, seq| self.publish([(shard, engine)], seq),
                                 );
                             }
                         }
@@ -1161,13 +1070,13 @@ impl Service {
         // sealed writer (earlier IO failure — its tail may be torn)
         // cannot be rotated; its whole series is instead deleted after
         // the snapshot renames, which also unseals it.
-        let mut images: Vec<Arc<ShardSnapshot>> = Vec::with_capacity(topo.cells.len());
+        let mut images: Vec<Arc<ShardSnapshot>> = Vec::with_capacity(topo.shards.len());
         let mut defs: Vec<ViewDef> = Vec::new();
         let mut closed_segments: Vec<PathBuf> = Vec::new();
         let mut sealed_shards: Vec<usize> = Vec::new();
         for id in topo.shards.ids() {
             let slot = topo.shards.write(id);
-            let image = topo.cells[id.index()].load();
+            let image = Arc::clone(self.snapshot().shard(id.index()));
             if let Some(engine) = slot.as_ref() {
                 defs.extend(engine.view_definitions().iter().map(def_to_wal));
             }
@@ -1353,27 +1262,25 @@ impl Service {
         // Pre-checks against the published catalogue — no lock taken,
         // and the registration lock guarantees no concurrent
         // registration invalidates them before we quiesce.
-        if let Some(shard) = topo.route.shard_of(&name) {
-            return Err(if topo.cells[shard.index()].load().is_view(&name) {
+        let catalogue = self.snapshot();
+        if catalogue.relation(&name).is_some() {
+            return Err(if catalogue.is_view(&name) {
                 ServiceError::ViewExists(name)
             } else {
                 ServiceError::RelationConflict(name)
             });
         }
         for schema in &strategy.source_schema.relations {
-            let Some(shard) = topo.route.shard_of(&schema.name) else {
+            let Some(source) = catalogue.relation(&schema.name) else {
                 return Err(ServiceError::InvalidStrategy {
                     reason: format!("source relation '{}' does not exist", schema.name),
                 });
             };
-            let live_arity = topo.cells[shard.index()]
-                .load()
-                .relation(&schema.name)
-                .map(RelationVersion::arity);
-            if live_arity != Some(schema.arity()) {
+            if source.arity() != schema.arity() {
                 return Err(ServiceError::RelationConflict(schema.name.clone()));
             }
         }
+        drop(catalogue);
         // Full validation — shape checks plus the solver's
         // well-behavedness analysis — before any shard is disturbed.
         // The derived get program doubles as the footprint input.
@@ -1518,9 +1425,10 @@ impl Service {
 
     /// Build and swap in the successor topology: split `merged`, assign
     /// shard ids (retired ids are reused in ascending order, overflow
-    /// gets fresh ids), log `record` to the WAL, publish the replacement
-    /// shards' snapshots at `seq`, migrate the retired committers'
-    /// queued transactions, and atomically store the new `Topology`.
+    /// gets fresh ids), log `record` to the WAL, migrate the retired
+    /// committers' queued transactions, publish the successor image
+    /// (replacement shards at `seq`), and then store the new
+    /// `Topology`.
     ///
     /// On failure (WAL segment open or record append) **nothing is
     /// installed**: the caller gets the re-merged engine back to unwind
@@ -1603,33 +1511,29 @@ impl Service {
             .zip(components)
             .collect();
         let mut slots = Vec::with_capacity(new_len);
-        let mut cells = Vec::with_capacity(new_len);
         let mut committers = Vec::with_capacity(new_len);
+        // Images of the replaced and retired slots; survivors keep
+        // whatever the published image holds for them at swap time.
+        let mut fresh: Vec<(usize, Arc<ShardSnapshot>)> = Vec::new();
         for index in 0..new_len {
             if let Some(mut component) = replacements.remove(&index) {
-                // Replacement shard: FRESH slot/cell/committer Arcs, so
-                // an old-generation thread still holding the previous
+                // Replacement shard: FRESH slot/committer Arcs, so an
+                // old-generation thread still holding the previous
                 // generation's lock set can never reach this engine.
-                // Published before the swap, so the new generation is a
-                // consistent cut the moment it becomes visible.
-                cells.push(Arc::new(SnapshotCell::new(ShardSnapshot::capture(
-                    &mut component,
-                    seq,
-                ))));
+                fresh.push((index, Arc::new(ShardSnapshot::capture(&mut component, seq))));
                 slots.push(Arc::new(RwLock::new(Some(component))));
                 committers.push(Arc::new(GroupCommitter::new()));
             } else if retired.iter().any(|id| id.index() == index) {
                 // Retired without replacement: the slot stays `None`
                 // forever (in this and all later generations unless a
                 // future re-shard reuses the index with fresh Arcs).
-                cells.push(Arc::new(SnapshotCell::new(ShardSnapshot::empty(seq))));
+                fresh.push((index, Arc::new(ShardSnapshot::empty(seq))));
                 slots.push(Arc::new(RwLock::new(None)));
                 committers.push(Arc::new(GroupCommitter::new()));
             } else if index < old_len {
                 // Survivor: same Arcs across generations — LockId
                 // identity is what keeps ascending lock order global.
                 slots.push(topo.shards.slot(LockId::new(index)));
-                cells.push(Arc::clone(&topo.cells[index]));
                 committers.push(Arc::clone(&topo.committers[index]));
             } else {
                 unreachable!("extended indices always carry a replacement");
@@ -1660,11 +1564,15 @@ impl Service {
                 }
             }
         }
+        // The image goes first: survivors keep publishing into it
+        // (their entries are copied under the image lock, so none is
+        // lost), and by the time a new-generation writer can exist, the
+        // image already has its slot.
+        self.swap_image(|image| image.successor(Some(Arc::clone(&route)), fresh));
         let successor = Arc::new(Topology {
             shards: LockManager::from_slots(slots),
             route,
             committers,
-            cells,
             writers,
         });
         match self.inner.topology.write() {
@@ -1750,18 +1658,16 @@ impl Session {
     /// applied in a single strategy evaluation — locking exactly the
     /// shards the batch's views live in, in global lock order.
     ///
-    /// On error the batch is discarded; atomicity is per view (a
-    /// multi-view batch that fails on its k-th view keeps the first k−1
-    /// applied — single-view batches, the common case, are atomic).
+    /// The batch is all-or-nothing: if any view's delta is rejected
+    /// (constraint violation, contradictory source delta), the views
+    /// applied before it are undone, the batch is discarded, and the
+    /// commit takes no seq, writes no WAL record and publishes nothing.
     ///
     /// On a durable service the commit's net per-view deltas are
     /// appended to the WAL (one record, written to the lowest-id locked
     /// shard's log while every locked shard is still held) and synced
     /// per the fsync policy **before** this method returns `Ok` — a
-    /// crash after `Ok` never loses the commit. A multi-view batch that
-    /// fails on its k-th view logs the applied k−1 prefix (under a fresh
-    /// commit seq) so recovery converges to exactly the in-memory state,
-    /// then still returns the error.
+    /// crash after `Ok` never loses the commit.
     ///
     /// ```
     /// # use birds_core::UpdateStrategy;
@@ -1855,39 +1761,22 @@ impl Session {
         // The applied per-view net deltas, in application order — the
         // WAL record for this commit.
         let mut applied: Vec<(String, Delta)> = Vec::new();
-        // Whether any delta reached an engine (`applied` only tracks
-        // loggable copies, so it misses in-memory and empty-net cases).
-        let mut any_applied = false;
-        let mut failure: Option<ServiceError> = None;
+        // One undo journal per locked shard, parallel to `guards`.
+        let mut journals: Vec<UndoJournal> = guards.iter().map(|_| UndoJournal::new()).collect();
         for (view, group) in groups {
             let shard = topo
                 .route
                 .shard_of(view)
                 .expect("lock_set resolved every view");
-            let engine = guards
-                .iter_mut()
-                .find(|(id, _)| *id == shard)
-                .map(|(_, guard)| guard.as_mut().expect("commit holds live slots"))
+            let at = guards
+                .iter()
+                .position(|(id, _)| *id == shard)
                 .expect("footprint guards cover every target view");
+            let engine = guards[at].1.as_mut().expect("commit holds live slots");
             // Derive against the in-lock state so earlier groups'
-            // cascades are visible, then apply in one pass. The derived
-            // delta is normalized against that same state, so it is
-            // exactly what gets applied — the replay-log entry (cloned
-            // only on durable services; the in-memory hot path applies
-            // by value).
-            let result = engine.derive_delta(view, group).and_then(|delta| {
-                let log_copy = inner
-                    .wal
-                    .is_some()
-                    .then(|| delta.clone())
-                    .filter(|d| !d.is_empty());
-                engine
-                    .apply_delta(view, delta)
-                    .map(|stats| (log_copy, stats))
-            });
-            match result {
+            // cascades are visible, then apply in one pass.
+            match derive_and_apply(engine, view, group, inner.wal.is_some(), &mut journals[at]) {
                 Ok((log_copy, stats)) => {
-                    any_applied = true;
                     total.view_delta_size += stats.view_delta_size;
                     total.source_delta_size += stats.source_delta_size;
                     total.cascades += stats.cascades;
@@ -1896,28 +1785,21 @@ impl Session {
                     }
                 }
                 Err(e) => {
-                    failure = Some(ServiceError::Engine(e));
-                    break;
+                    // All or nothing: revert the views applied before
+                    // this one. The failed commit takes no seq, logs
+                    // nothing and publishes nothing.
+                    for ((_, slot), journal) in guards.iter_mut().zip(&mut journals) {
+                        slot.as_mut()
+                            .expect("commit holds live slots")
+                            .undo(journal);
+                    }
+                    return Err(ServiceError::Engine(e));
                 }
-            }
-        }
-        if let Some(e) = &failure {
-            if applied.is_empty() || inner.wal.is_none() {
-                // Nothing loggable: fail without a seq or a log record,
-                // exactly like the in-memory path always has. Earlier
-                // groups may still have applied (atomicity is per view),
-                // so republish the mutated state at each shard's
-                // *unchanged* high-water seq before the locks drop —
-                // the lock-free read path must keep matching memory.
-                if any_applied {
-                    self.service.publish_guarded(topo, &mut guards, None);
-                }
-                return Err(e.clone());
             }
         }
         let commit_seq = self.service.next_commit_seq();
-        if let Some(wal) = &inner.wal {
-            if !applied.is_empty() {
+        let logged = match &inner.wal {
+            Some(wal) if !applied.is_empty() => {
                 // Log to the lowest-id locked shard (guards are
                 // ascending): every appender to that segment holds that
                 // shard's write lock, so the log stays append-ordered.
@@ -1928,45 +1810,38 @@ impl Session {
                     writer: &topo.writers[guards[0].0.index()],
                     fsync: wal.fsync,
                 };
-                let logged = epoch_wal
+                epoch_wal
                     .append(&WalRecord::Commit {
                         seqs: vec![commit_seq],
                         deltas: applied,
                     })
-                    .and_then(|()| epoch_wal.sync_epoch());
-                if let Err(e) = logged {
-                    // Applied in memory but not durably acknowledged:
-                    // the engine-level failure (if any) still wins the
-                    // error report; otherwise surface the WAL failure.
-                    // Memory did change, so publish before unlocking.
-                    self.service
-                        .publish_guarded(topo, &mut guards, Some(commit_seq));
-                    drop(guards);
-                    self.service.heal_after_durability_failure();
-                    return Err(failure.unwrap_or(e));
-                }
+                    .and_then(|()| epoch_wal.sync_epoch())
             }
-        }
+            _ => Ok(()),
+        };
         // Publish every locked shard at the new high-water seq — after
         // the WAL append, before the locks drop and before the caller
         // learns the outcome (read-your-writes on the lock-free path).
-        if any_applied {
-            self.service
-                .publish_guarded(topo, &mut guards, Some(commit_seq));
-        }
+        // A failed append publishes too: memory changed, it just was
+        // not durably acknowledged.
+        self.service.publish(
+            guards
+                .iter_mut()
+                .map(|(id, slot)| (*id, slot.as_mut().expect("commit holds live slots"))),
+            commit_seq,
+        );
         drop(guards);
-        match failure {
-            Some(e) => Err(e),
-            None => {
-                self.service.after_durable_commit(1);
-                Ok(CommitOutcome {
-                    commit_seq,
-                    statements: statement_count,
-                    views: groups.len(),
-                    stats: total,
-                })
-            }
+        if let Err(e) = logged {
+            self.service.heal_after_durability_failure();
+            return Err(e);
         }
+        self.service.after_durable_commit(1);
+        Ok(CommitOutcome {
+            commit_seq,
+            statements: statement_count,
+            views: groups.len(),
+            stats: total,
+        })
     }
 
     /// Discard the open batch, returning how many statements were

@@ -1,9 +1,13 @@
 //! MVCC snapshots: the lock-free read side of the service.
 //!
-//! Every shard owns a snapshot cell holding an `Arc` to the shard's
-//! latest published [`ShardSnapshot`] — an immutable image of the
-//! shard's relations ([`RelationVersion`]s, `Arc`-shared version
-//! buffers) tagged with the shard's **high-water commit seq**.
+//! The service publishes **one image**: a [`ServiceSnapshot`] holding
+//! an `Arc` to every shard's latest [`ShardSnapshot`] — an immutable
+//! image of the shard's relations ([`RelationVersion`]s, `Arc`-shared
+//! version buffers) tagged with the shard's **high-water commit seq** —
+//! plus the routing table. The image sits behind one pointer cell;
+//! every publication, whatever it touched (one shard, many, or a whole
+//! re-shard), builds the successor image and swaps the pointer in one
+//! read-modify-write under that cell's lock.
 //!
 //! ## Visibility rule
 //!
@@ -12,47 +16,40 @@
 //! nothing of any later commit. Publication happens while the shard's
 //! write lock is still held, after deltas are applied (and after the
 //! commit's WAL record is appended, on durable services): a reader can
-//! never observe a commit's effects before that commit is logged.
+//! never observe a commit's effects before that commit is logged. A
+//! commit that fails publishes nothing — its mutations were undone
+//! under the same locks.
 //!
-//! One deliberate exception, on **in-memory** services only: batch
-//! atomicity is per view, so a multi-view batch that fails on its k-th
-//! view keeps the first k−1 views applied. With no WAL to log that
-//! prefix under a fresh seq (the durable path does exactly that), the
-//! mutated shards republish at their *unchanged* high-water seq — the
-//! lock-free read path must keep matching engine memory, so the failed
-//! batch's applied prefix is visible seq-less. Its mutations carry no
-//! commit seq of their own and the batch reported an error.
+//! ## Prefix closure
+//!
+//! A snapshot is one pointer load. Publications are totally ordered by
+//! the cell lock, and each successor image copies every entry it does
+//! not replace, so an image that holds a commit also holds every commit
+//! published before it — in particular every commit acknowledged before
+//! it started, on whatever shard. A multi-shard batch swaps all of its
+//! shards in the same write, so no reader ever sees half of one.
 //!
 //! ## Why readers never block writers (and vice versa)
 //!
 //! Readers load the cell pointer — a nanosecond-scale `RwLock` critical
-//! section around an `Arc` clone, never the shard's engine lock — and
-//! then work entirely against the immutable image. Writers publish by
-//! swapping the pointer. The engine's left-right versioned tuple sets
-//! ([`birds_store::Relation`]) make publication `O(delta)`, not
+//! section around an `Arc` clone, never a shard's engine lock — and
+//! then work entirely against the immutable image. Writers capture
+//! their shards under their own locks and take the cell lock only for
+//! the swap; it is a leaf lock (nothing else is acquired while holding
+//! it). The engine's left-right versioned tuple sets
+//! ([`birds_store::Relation`]) make capture `O(delta)`, not
 //! `O(tuples)`: an epoch that touched two relations replays its ops
 //! into their shadow buffers and re-shares every untouched one.
-//!
-//! ## Cross-shard consistency
-//!
-//! A [`ServiceSnapshot`] assembles one `Arc` per shard. Commits that
-//! touch a *single* shard publish independently — they commute with
-//! every other single-shard commit, so any combination of cell pointers
-//! is a consistent cut. Commits that touch *multiple* shards (a batch
-//! spanning footprint components) are the only writes that can
-//! establish a cross-shard invariant, so only they bracket their
-//! publication with the service's publication seqlock; readers retry
-//! the (cheap) pointer collection if such a publication was in flight.
 
 use crate::footprint::ShardMap;
 use birds_engine::Engine;
 use birds_store::RelationVersion;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// An immutable image of one shard's relations at a commit boundary.
 ///
 /// Produced under the shard's write lock, shared with readers through
-/// the shard's snapshot cell. Once published it never changes;
+/// the published [`ServiceSnapshot`]. Once published it never changes;
 /// holding the `Arc` pins the image for as long as the reader likes,
 /// at the cost of keeping the (structurally shared) tuple sets alive.
 #[derive(Debug)]
@@ -87,8 +84,7 @@ impl ShardSnapshot {
     /// An empty image — what a *retired* shard slot publishes after a
     /// live re-shard moved its relations elsewhere. No route entry ever
     /// points at a retired slot, so the image is unreachable through
-    /// normal reads; it exists so whole-service assembly stays a plain
-    /// per-slot pointer collection.
+    /// normal reads; it exists so the image stays indexed by slot.
     pub(crate) fn empty(commit_seq: u64) -> ShardSnapshot {
         ShardSnapshot {
             commit_seq,
@@ -129,54 +125,14 @@ impl ShardSnapshot {
     }
 }
 
-/// One shard's published-snapshot slot: a pointer-swap cell.
+/// A consistent, pinnable, lock-free view over every shard: the
+/// published service image that [`crate::Service::snapshot`] returns
+/// and [`crate::Service::read`] lends its closure.
 ///
-/// The `RwLock` here guards only the `Arc` pointer — critical sections
-/// are a clone or a store, never engine work — so a reader loading the
-/// cell cannot be blocked by a writer holding the shard's *engine*
-/// lock, which is the whole point of the MVCC read path.
-pub(crate) struct SnapshotCell {
-    ptr: RwLock<Arc<ShardSnapshot>>,
-}
-
-impl SnapshotCell {
-    pub(crate) fn new(snapshot: ShardSnapshot) -> SnapshotCell {
-        SnapshotCell {
-            ptr: RwLock::new(Arc::new(snapshot)),
-        }
-    }
-
-    /// Swap in a freshly captured snapshot. Called with the shard's
-    /// write lock held, so publications are ordered like commits.
-    pub(crate) fn publish(&self, snapshot: ShardSnapshot) {
-        let snapshot = Arc::new(snapshot);
-        // A panic between a lock acquisition and release here is
-        // impossible (the critical section is a pointer store), but
-        // recover from poisoning anyway — the pointer is always valid.
-        match self.ptr.write() {
-            Ok(mut slot) => *slot = snapshot,
-            Err(poisoned) => *poisoned.into_inner() = snapshot,
-        }
-    }
-
-    /// Load the current snapshot pointer (an `Arc` clone).
-    pub(crate) fn load(&self) -> Arc<ShardSnapshot> {
-        match self.ptr.read() {
-            Ok(slot) => Arc::clone(&slot),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
-    }
-}
-
-/// A consistent, pinnable, lock-free view over every shard: what
-/// [`crate::Service::snapshot`] returns and [`crate::Service::read`]
-/// lends its closure.
-///
-/// Assembly takes no shard lock — it collects each shard's published
-/// `Arc` and retries (via the service's publication seqlock) only if a
-/// multi-shard commit was publishing concurrently. The result is an
-/// owned value: keep it as long as you like; it observes none of the
-/// commits that happen after assembly.
+/// Loading it takes no shard lock, and it never changes: keep it as
+/// long as you like; it observes none of the commits published after
+/// it. Holding it keeps every shard's image alive, so short reads of
+/// one relation should use [`crate::Service::query`] instead.
 pub struct ServiceSnapshot {
     shards: Vec<Arc<ShardSnapshot>>,
     route: Arc<ShardMap>,
@@ -185,6 +141,35 @@ pub struct ServiceSnapshot {
 impl ServiceSnapshot {
     pub(crate) fn new(shards: Vec<Arc<ShardSnapshot>>, route: Arc<ShardMap>) -> ServiceSnapshot {
         ServiceSnapshot { shards, route }
+    }
+
+    /// The image that replaces this one: the `fresh` shard images (by
+    /// slot index, ascending; indices past the end extend the image)
+    /// swapped in, every other shard carried over, and `route` if the
+    /// topology changed.
+    pub(crate) fn successor(
+        &self,
+        route: Option<Arc<ShardMap>>,
+        fresh: impl IntoIterator<Item = (usize, Arc<ShardSnapshot>)>,
+    ) -> ServiceSnapshot {
+        let mut shards = self.shards.clone();
+        for (index, shard) in fresh {
+            if index < shards.len() {
+                shards[index] = shard;
+            } else {
+                debug_assert_eq!(index, shards.len(), "a new slot extends the image");
+                shards.push(shard);
+            }
+        }
+        ServiceSnapshot {
+            shards,
+            route: route.unwrap_or_else(|| Arc::clone(&self.route)),
+        }
+    }
+
+    /// The image of the shard in slot `index`.
+    pub(crate) fn shard(&self, index: usize) -> &Arc<ShardSnapshot> {
+        &self.shards[index]
     }
 
     /// Read access to any relation (base table or materialized view);

@@ -1,6 +1,6 @@
 //! MVCC read-path guarantees: snapshot isolation and non-interference.
 //!
-//! These tests pin the two claims the snapshot subsystem makes
+//! These tests pin the claims the snapshot subsystem makes
 //! (`crates/service/src/snapshot.rs`):
 //!
 //! 1. **Readers never wait for writers.** A held shard *write* lock —
@@ -11,11 +11,14 @@
 //!    before a storm of commits observes exactly the image it pinned —
 //!    same tuples, same per-shard commit seqs — no matter how many
 //!    epochs advance underneath it.
+//! 3. **A snapshot is a prefix of the commit order.** If it holds a
+//!    commit, it holds every commit acknowledged before it, on every
+//!    shard, and no multi-shard commit is ever half-visible.
 //!
 //! The engine here is the disjoint-union fixture from `sharding.rs`:
 //! `views` independent components `v{i} = a{i} ∪ b{i}` plus a free
-//! table, so writers fan out across shards and the cross-shard seqlock
-//! path is exercised too.
+//! table, so writers fan out across shards and cross-shard publication
+//! is exercised too.
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
@@ -172,11 +175,9 @@ fn pinned_snapshot_survives_concurrent_writer_storm() {
 
 /// Two batch commits with **disjoint multi-shard footprints** publish
 /// concurrently — they hold disjoint shard locks, so nothing else
-/// orders them — and a reader must still never assemble half of
-/// either. The publication seqlock alone cannot express "two
-/// publications in flight" (two opening increments make the counter
-/// even again, 0→1→2, while both are mid-swap), so multi-shard
-/// publications serialize on a dedicated mutex; this test pins that.
+/// orders them — and a reader must still never see half of either:
+/// each commit swaps all of its shards into the published image at
+/// once.
 ///
 /// Each writer's batch inserts the same value into both views of its
 /// pair, so in every consistent cut the pair's contents are equal; a
@@ -295,4 +296,70 @@ fn held_write_lock_does_not_block_reads() {
         service.query("no_such_relation"),
         Err(birds_service::ServiceError::UnknownRelation(name)) if name == "no_such_relation"
     ));
+}
+
+/// One session alternately commits an insert into `v0` and one into
+/// `v1` — disjoint shards, single-shard autocommit epochs, each commit
+/// acknowledged before the next starts — while readers loop over
+/// `snapshot()`. The k-th `v1` insert is acknowledged after the k-th
+/// `v0` insert, so a snapshot holding it must hold that one too: no
+/// snapshot may show more `v1` inserts than `v0` inserts.
+#[test]
+fn snapshots_are_prefixes_of_the_acknowledged_commit_order() {
+    const ROUNDS: usize = 400;
+    const READERS: usize = 2;
+    let service = Service::new(disjoint_engine(2));
+    let inserted = |snapshot: &birds_service::ServiceSnapshot, view: &str| {
+        snapshot
+            .relation(view)
+            .unwrap()
+            .iter()
+            .filter(|t| matches!(t[0], birds_store::Value::Int(a) if a >= 1000))
+            .count()
+    };
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let service = service.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut checked = 0usize;
+                while !stop.load(Ordering::Relaxed) {
+                    let snapshot = service.snapshot();
+                    let (v0, v1) = (inserted(&snapshot, "v0"), inserted(&snapshot, "v1"));
+                    assert!(
+                        v1 <= v0,
+                        "snapshot at seq {} holds {v1} v1 inserts but only {v0} \
+                         earlier-acknowledged v0 inserts",
+                        snapshot.commit_seq()
+                    );
+                    checked += 1;
+                }
+                checked
+            })
+        })
+        .collect();
+
+    let mut session = service.session();
+    for k in 0..ROUNDS {
+        let value = 1000 + k;
+        session
+            .execute(&format!("INSERT INTO v0 VALUES ({value});"))
+            .unwrap();
+        session
+            .execute(&format!("INSERT INTO v1 VALUES ({value});"))
+            .unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    for reader in readers {
+        assert!(
+            reader.join().unwrap() > 0,
+            "every reader checked a snapshot"
+        );
+    }
+    let last = service.snapshot();
+    assert_eq!(inserted(&last, "v0"), ROUNDS);
+    assert_eq!(inserted(&last, "v1"), ROUNDS);
+    assert_eq!(last.commit_seq(), 2 * ROUNDS as u64);
 }
