@@ -10,15 +10,15 @@
 //! 2. **Thread scaling** (with `--throughput-baseline`): a fresh
 //!    disjoint-views scaling run — n autocommit clients × n disjoint
 //!    views through the sharded service's group committers, replaying
-//!    the committed run's base size and epoch window — versus the
+//!    the committed run's base size — versus the
 //!    `disjoint_thread_scaling` section of `BENCH_throughput.json`.
 //!    Fails when fresh aggregate stmts/sec falls more than `--factor`
-//!    below the baseline at any compared client count. For the gate to
-//!    be able to see a *serialization* regression (not just a slowdown),
-//!    `--clients` must include a count whose committed scaling exceeds
-//!    `--factor` — at the default 3× that means 4 clients or more
-//!    (committed scaling is ~1.9× at 2, ~4.3× at 4, ~7.9× at 8), which
-//!    is why CI gates on `--clients 1,2,4`.
+//!    below the baseline at any compared client count. The sweep is
+//!    CPU-bound, so its scaling is capped by the core count the
+//!    baseline records as `nproc` (about 1× from 1 to 8 clients on a
+//!    2-core machine): the gate catches a collapse of absolute
+//!    throughput at each client count, not a loss of parallelism
+//!    beyond the cores.
 //! 3. **Durability overhead** (with `--durability-gate`): fresh
 //!    WAL-on-vs-in-memory batched-commit throughput, fresh-vs-fresh on
 //!    the same machine.
@@ -234,7 +234,7 @@ fn main() {
 }
 
 /// Thread-scaling gate: replay the committed disjoint-views scaling run
-/// (same base size and epoch window) at the requested client counts and
+/// (same base size) at the requested client counts and
 /// compare aggregate stmts/sec point by point. Returns
 /// `(regressions, compared)`.
 fn throughput_gate(baseline_path: &str, clients: &[usize], factor: f64) -> (usize, usize) {
@@ -250,11 +250,6 @@ fn throughput_gate(baseline_path: &str, clients: &[usize], factor: f64) -> (usiz
         .get("base_size")
         .and_then(Json::as_i64)
         .unwrap_or(20_000) as usize;
-    let window = Duration::from_micros(
-        doc.get("epoch_window_us")
-            .and_then(Json::as_i64)
-            .unwrap_or(200) as u64,
-    );
     // clients → (stmts/sec, statements measured) from the committed run.
     let mut baseline: std::collections::BTreeMap<usize, (f64, usize)> =
         std::collections::BTreeMap::new();
@@ -279,15 +274,14 @@ fn throughput_gate(baseline_path: &str, clients: &[usize], factor: f64) -> (usiz
 
     println!(
         "\ngate: fresh disjoint-views scaling at clients {clients:?} \
-         (base {base_size}, {}us epoch window) vs committed {baseline_path}",
-        window.as_micros()
+         (base {base_size}) vs committed {baseline_path}"
     );
     let per_client = clients
         .iter()
         .filter_map(|n| baseline.get(n).map(|(_, stmts)| stmts / n.max(&1)))
         .next()
         .unwrap_or(400);
-    let fresh = disjoint_scaling(base_size, clients, per_client, window);
+    let fresh = disjoint_scaling(base_size, clients, per_client);
 
     let mut regressions = 0usize;
     let mut compared = 0usize;

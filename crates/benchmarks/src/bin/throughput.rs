@@ -15,10 +15,9 @@ use birds_benchmarks::connection::{connection_scaling, ConnectionPoint};
 use birds_benchmarks::emit::write_atomic;
 use birds_benchmarks::throughput::{
     batch_sweep, disjoint_scaling, durability_autocommit_sweep, durability_batched_sweep,
-    group_commit_scaling, read_interference_sweep, thread_scaling, to_json, DurabilityPoint,
-    InterferencePoint, ScalePoint,
+    durable_group_commit_scaling, group_commit_scaling, nproc, read_interference_sweep,
+    thread_scaling, to_json, DurabilityPoint, InterferencePoint, ScalePoint,
 };
-use std::time::Duration;
 
 fn main() {
     let mut emit_json = false;
@@ -58,11 +57,7 @@ fn main() {
             400,
         )
     };
-    // Group-commit epoch window for the autocommit scaling sweeps: long
-    // enough that concurrent submitters reliably join the same epoch,
-    // short enough to stay realistic as a commit latency floor.
-    let epoch_window = Duration::from_micros(200);
-
+    println!("nproc = {}", nproc());
     println!("== batched vs per-statement (luxuryitems @ {base_size}, incremental) ==");
     println!(
         "{:>12} {:>20} {:>14} {:>8}",
@@ -90,20 +85,26 @@ fn main() {
     println!();
     println!(
         "== disjoint views: n autocommit clients x n footprint shards \
-         ({per_client} stmts/client, {}us epoch window) ==",
-        epoch_window.as_micros()
+         ({per_client} stmts/client) =="
     );
-    let disjoint_points = disjoint_scaling(base_size, &threads, per_client, epoch_window);
+    let disjoint_points = disjoint_scaling(base_size, &threads, per_client);
     print_scale_points(&disjoint_points);
 
     println!();
     println!(
         "== group commit: n autocommit clients, ONE shared view \
-         ({per_client} stmts/client, {}us epoch window) ==",
-        epoch_window.as_micros()
+         ({per_client} stmts/client) =="
     );
-    let coalescing_points = group_commit_scaling(base_size, &threads, per_client, epoch_window);
+    let coalescing_points = group_commit_scaling(base_size, &threads, per_client);
     print_scale_points(&coalescing_points);
+
+    println!();
+    println!(
+        "== durable group commit: n autocommit clients, ONE shared view, \
+         WAL with epoch fsync ({per_client} stmts/client) =="
+    );
+    let durable_coalescing_points = durable_group_commit_scaling(base_size, &threads, per_client);
+    print_scale_points(&durable_coalescing_points);
 
     let (dur_commits, dur_batch, dur_auto) = if quick { (3, 100, 50) } else { (10, 500, 200) };
     println!();
@@ -164,11 +165,11 @@ fn main() {
             &scale_points,
             &disjoint_points,
             &coalescing_points,
+            &durable_coalescing_points,
             &durability_batched,
             &durability_autocommit,
             &read_interference,
             &connection_points,
-            epoch_window,
         );
         write_atomic(&out_path, &doc.to_pretty()).expect("write benchmark JSON");
         println!("\nwrote {out_path}");

@@ -26,16 +26,20 @@
 //! * **disjoint thread scaling** — n autocommit clients × n disjoint
 //!   views (one luxuryitems-style selection per client, each over its
 //!   own base table). Every client owns a footprint shard, so commits
-//!   never contend; with a fixed group-commit epoch window, the epoch
-//!   waits of concurrent clients overlap while only the evaluations
-//!   serialize on the CPU — aggregate throughput scales with offered
-//!   concurrency (and with cores, on multicore hardware). This is the
-//!   sweep the CI `bench_gate` thread-scaling check replays.
+//!   never contend and the work is CPU-bound: aggregate throughput can
+//!   scale up to the core count (`nproc`, recorded in the JSON) and no
+//!   further. This is the sweep the CI `bench_gate` thread-scaling
+//!   check replays.
 //! * **group-commit coalescing** — n autocommit clients on *one* shared
-//!   view: the shard's epoch leader coalesces every transaction queued
-//!   in the window into one net delta per view, so per-statement
-//!   evaluation cost is amortized across clients — batch-level
-//!   throughput for clients that never call `begin`/`commit`.
+//!   view: the shard's epoch leader coalesces every transaction that
+//!   queued while the previous epoch held the shard into one net delta
+//!   per view, so per-statement evaluation cost is amortized across
+//!   clients — batch-level throughput for clients that never call
+//!   `begin`/`commit`.
+//! * **durable group commit** — the same shared-view autocommit sweep
+//!   on a WAL-backed service (`epoch` fsync): while one epoch's leader
+//!   waits for its log sync, the next epoch queues up behind it, so the
+//!   sync is amortized across clients too.
 
 use crate::figure6::Figure6View;
 use birds_core::UpdateStrategy;
@@ -248,26 +252,19 @@ pub fn thread_scaling(
 /// Measure aggregate autocommit throughput with `n` clients on `n`
 /// *disjoint* views (client `i` owns view `lux{i}` and its footprint
 /// shard), for each `n` in `clients_list`. Each client issues
-/// `per_client` single-statement autocommit transactions through the
-/// group committer with the given epoch `window`. Commits never contend
-/// (disjoint footprints); the epoch waits of concurrent clients overlap,
-/// so aggregate statements/sec scales with the client count — and with
-/// cores, where the evaluations themselves parallelize.
+/// `per_client` single-statement autocommit transactions through its
+/// shard's group committer. Commits never contend (disjoint
+/// footprints), so aggregate statements/sec scales with the client
+/// count up to the core count.
 pub fn disjoint_scaling(
     base_size: usize,
     clients_list: &[usize],
     per_client: usize,
-    window: Duration,
 ) -> Vec<ScalePoint> {
     clients_list
         .iter()
         .map(|&clients| {
-            let service = Service::with_config(
-                disjoint_engine(base_size, clients),
-                ServiceConfig {
-                    epoch_window: window,
-                },
-            );
+            let service = Service::new(disjoint_engine(base_size, clients));
             assert_eq!(
                 service.shard_count(),
                 clients,
@@ -283,26 +280,47 @@ pub fn disjoint_scaling(
 /// Measure aggregate autocommit throughput with `n` clients all hitting
 /// *one* shared view, for each `n` in `clients_list`: every transaction
 /// funnels through the same shard's group committer, whose epoch leader
-/// coalesces whatever queued during the `window` into one net delta —
-/// per-statement evaluation cost amortized across clients.
+/// coalesces whatever queued behind the previous epoch into one net
+/// delta — per-statement evaluation cost amortized across clients.
 pub fn group_commit_scaling(
     base_size: usize,
     clients_list: &[usize],
     per_client: usize,
-    window: Duration,
+) -> Vec<ScalePoint> {
+    shared_view_scaling(base_size, clients_list, per_client, None)
+}
+
+/// [`group_commit_scaling`] on a WAL-backed service with `epoch` fsync
+/// (no automatic checkpoints): each epoch appends its records and pays
+/// one sync, which the transactions queued behind it share.
+pub fn durable_group_commit_scaling(
+    base_size: usize,
+    clients_list: &[usize],
+    per_client: usize,
+) -> Vec<ScalePoint> {
+    shared_view_scaling(
+        base_size,
+        clients_list,
+        per_client,
+        Some(FsyncPolicy::Epoch),
+    )
+}
+
+fn shared_view_scaling(
+    base_size: usize,
+    clients_list: &[usize],
+    per_client: usize,
+    fsync: Option<FsyncPolicy>,
 ) -> Vec<ScalePoint> {
     clients_list
         .iter()
         .map(|&clients| {
-            let service = Service::with_config(
-                VIEW.engine(base_size, StrategyMode::Incremental),
-                ServiceConfig {
-                    epoch_window: window,
-                },
-            );
-            run_autocommit_clients(&service, clients, |client| {
+            let service = durability_service(base_size, fsync, "group-commit");
+            let point = run_autocommit_clients(&service, clients, |client| {
                 statement_stream(base_size, client, per_client)
-            })
+            });
+            cleanup_durability_service(service);
+            point
         })
         .collect()
 }
@@ -585,11 +603,11 @@ pub fn to_json(
     scale_points: &[ScalePoint],
     disjoint_points: &[ScalePoint],
     coalescing_points: &[ScalePoint],
+    durable_coalescing_points: &[ScalePoint],
     durability_batched: &[DurabilityPoint],
     durability_autocommit: &[DurabilityPoint],
     read_interference: &[InterferencePoint],
     connection_points: &[crate::connection::ConnectionPoint],
-    epoch_window: Duration,
 ) -> birds_service::Json {
     use birds_service::Json;
     let round = |ms: f64| (ms * 1000.0).round() / 1000.0;
@@ -651,10 +669,7 @@ pub fn to_json(
         ("view".to_owned(), Json::str(VIEW.name())),
         ("mode".to_owned(), Json::str("incremental")),
         ("base_size".to_owned(), Json::Int(base_size as i64)),
-        (
-            "epoch_window_us".to_owned(),
-            Json::Int(epoch_window.as_micros() as i64),
-        ),
+        ("nproc".to_owned(), Json::Int(nproc() as i64)),
         ("label".to_owned(), Json::str(label)),
         (
             "note".to_owned(),
@@ -666,12 +681,14 @@ pub fn to_json(
                  shared view — all in one footprint shard, so commits serialize (the \
                  contended baseline; flat by design). disjoint_thread_scaling: n \
                  autocommit clients x n disjoint views, one footprint shard per \
-                 client, group-commit epoch window as configured — epoch waits \
-                 overlap across shards and evaluations parallelize across cores, so \
-                 aggregate stmts/sec scales with client count (scaling_vs_1_client is \
-                 the gated ratio). group_commit_scaling: n autocommit clients on ONE \
-                 shared view — the epoch leader coalesces concurrent transactions \
-                 into one net delta, amortizing evaluation across clients.",
+                 client — CPU-bound, so aggregate stmts/sec can scale only up to \
+                 nproc cores (statements_per_sec is the gated figure). \
+                 group_commit_scaling: n autocommit clients on ONE shared view — the \
+                 epoch leader coalesces the transactions that queued behind the \
+                 previous epoch into one net delta, amortizing evaluation across \
+                 clients. durable_group_commit_scaling: the same on a WAL-backed \
+                 service with epoch fsync — one sync per epoch, shared by its \
+                 members.",
             ),
         ),
         ("batch_vs_statement".to_owned(), Json::Arr(batch_json)),
@@ -686,6 +703,10 @@ pub fn to_json(
         (
             "group_commit_scaling".to_owned(),
             Json::Arr(scale_json(coalescing_points)),
+        ),
+        (
+            "durable_group_commit_scaling".to_owned(),
+            Json::Arr(scale_json(durable_coalescing_points)),
         ),
         (
             "durability".to_owned(),
@@ -737,6 +758,11 @@ pub fn to_json(
             crate::connection::connection_json(connection_points),
         ),
     ])
+}
+
+/// Cores available to this process, as recorded with every run.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Render the reader/writer-interference sweep (latencies in µs).
@@ -874,8 +900,9 @@ mod tests {
     fn json_document_shape() {
         let batch = batch_sweep(300, &[30]);
         let scale = thread_scaling(300, &[1], 1, 20);
-        let disjoint = disjoint_scaling(100, &[1, 2], 10, Duration::from_micros(50));
-        let coalescing = group_commit_scaling(100, &[2], 10, Duration::from_micros(50));
+        let disjoint = disjoint_scaling(100, &[1, 2], 10);
+        let coalescing = group_commit_scaling(100, &[2], 10);
+        let durable_coalescing = durable_group_commit_scaling(100, &[1, 2], 10);
         let dur_batched = durability_batched_sweep(100, 2, 10);
         let dur_auto = durability_autocommit_sweep(100, 8);
         let interference = read_interference_sweep(100, &[0, 1], 20);
@@ -897,11 +924,11 @@ mod tests {
             &scale,
             &disjoint,
             &coalescing,
+            &durable_coalescing,
             &dur_batched,
             &dur_auto,
             &interference,
             &connection,
-            Duration::from_micros(50),
         );
         let rendered = doc.to_pretty();
         let parsed = birds_service::Json::parse(&rendered).unwrap();
@@ -926,10 +953,15 @@ mod tests {
             Some(2)
         );
         assert_eq!(
+            parsed.get("nproc").and_then(birds_service::Json::as_i64),
+            Some(nproc() as i64)
+        );
+        assert_eq!(
             parsed
-                .get("epoch_window_us")
-                .and_then(birds_service::Json::as_i64),
-            Some(50)
+                .get("durable_group_commit_scaling")
+                .and_then(birds_service::Json::as_arr)
+                .map(<[birds_service::Json]>::len),
+            Some(2)
         );
         let point = &parsed
             .get("disjoint_thread_scaling")
@@ -1019,40 +1051,39 @@ mod tests {
 
     #[test]
     fn disjoint_clients_apply_all_statements() {
-        let points = disjoint_scaling(80, &[2], 25, Duration::ZERO);
+        let points = disjoint_scaling(80, &[2], 25);
         assert_eq!(points[0].total_statements, 50);
         assert!(points[0].statements_per_sec() > 0.0);
     }
 
     #[test]
     fn coalesced_autocommit_matches_serial_state() {
-        // The same stream applied with and without group-commit
-        // coalescing must land on the same database.
+        // The same streams applied with and without group-commit
+        // coalescing must land on the same database. Each round queues
+        // one statement per client behind the held shard, so every
+        // round commits as one coalesced epoch.
         let scripts: Vec<Vec<String>> = (0..3)
             .map(|client| statement_stream(120, client, 20))
             .collect();
 
-        let coalesced = Service::with_config(
-            VIEW.engine(120, StrategyMode::Incremental),
-            ServiceConfig {
-                epoch_window: Duration::from_micros(200),
-            },
-        );
-        let handles: Vec<_> = scripts
-            .iter()
-            .cloned()
-            .map(|stream| {
-                let service = coalesced.clone();
-                std::thread::spawn(move || {
-                    let mut session = service.session();
-                    for script in &stream {
-                        session.execute(script).unwrap();
-                    }
+        let coalesced = Service::new(VIEW.engine(120, StrategyMode::Incremental));
+        let view = VIEW.name();
+        for round in 0..20 {
+            let held = coalesced.debug_write_lock_shard(view).unwrap();
+            let handles: Vec<_> = scripts
+                .iter()
+                .map(|stream| {
+                    let (service, script) = (coalesced.clone(), stream[round].clone());
+                    std::thread::spawn(move || service.session().execute(&script).unwrap())
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                .collect();
+            while coalesced.debug_queued_autocommits(view) < scripts.len() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(held);
+            for h in handles {
+                h.join().unwrap();
+            }
         }
         assert_eq!(coalesced.commits(), 3 * 20, "every tx got its own seq");
 

@@ -1,100 +1,56 @@
 //! Group commit: coalesce concurrent autocommit transactions into one
-//! incremental pass per view.
+//! incremental pass per view, by leader–follower parking.
 //!
-//! Clients that never call `begin`/`commit` pay one strategy evaluation
-//! per statement under the PR-3 design. This module gives them
-//! batch-level throughput anyway: each shard has a `GroupCommitter`
-//! queue; an autocommit transaction enqueues itself and the first
-//! submitter to win the shard's write lock becomes the **epoch leader**,
-//! draining everything queued at that moment and applying it as one
-//! *net* delta per view (Algorithm 2 over the concatenated statements —
-//! exactly the coalescing a session batch gets). Followers find their
-//! result filled in when the leader releases the lock. With the default
-//! zero epoch window the epoch is simply the leader's lock tenure:
-//! uncontended clients keep single-statement latency, contended shards
-//! batch automatically. A non-zero window additionally parks each
-//! submitter before its first leadership attempt, trading latency for
-//! deeper epochs (the fixed-epoch design of Obladi, arXiv:1809.10559).
+//! Each shard has a `GroupCommitter` queue. An autocommit transaction
+//! enqueues itself and parks until one of three things happens:
+//!
+//! * its result slot fills: another submitter's epoch committed it;
+//! * leadership falls vacant: it becomes the **epoch leader**, takes
+//!   the shard's write lock, drains everything queued, commits it as one
+//!   epoch, resigns and wakes the parked submitters;
+//! * a live re-shard closes the committer: its transaction moved to the
+//!   successor topology's committer, and it parks there instead.
+//!
+//! There is no gather window: an epoch is whatever queued while the
+//! previous leader held the shard — including its log sync, on a durable
+//! service. An uncontended client keeps single-statement latency; a
+//! contended shard batches by itself. Followers never take the shard
+//! lock, so each transaction is committed by exactly one epoch, and each
+//! epoch pays one sync.
 //!
 //! ## Semantics
 //!
-//! An epoch commits **atomically per view**: every member transaction
-//! gets its own commit sequence number (assigned in epoch order, so the
-//! global sequence stays dense and replayable), but the integrity
-//! constraints are checked once against the epoch's net effect — the
-//! same contract a multi-statement session batch has. When the net
-//! delta is rejected, the leader falls back to replaying the members
-//! individually, so per-transaction error attribution (and the
-//! one-bad-transaction-doesn't-abort-its-neighbours property) is
-//! preserved on the failure path. Member stats report the epoch's
-//! totals, not a per-statement split.
+//! An epoch commits **atomically per view**: each view's members form
+//! one commit (`commit::apply_commit`) whose constraints are
+//! checked once against their net effect — a session batch's contract —
+//! and each member gets its own commit seq (adjacent, in queue order).
+//! When a view's net delta is rejected, its members are committed one
+//! by one instead, so one bad transaction fails alone with its own
+//! error. Member stats report their commit's totals.
 //!
 //! ## Durability
 //!
-//! With a WAL attached (`EpochWal`), every applied group is appended
-//! to the shard's segment — the epoch *is* the WAL batch — while the
-//! shard lock is still held, and **no member learns it committed until
-//! the epoch's records are on disk** (per the fsync policy): result
-//! slots are filled only after the epoch-end sync. A sync or append
-//! failure turns the affected members' results into
-//! [`ServiceError::Durability`] — the transaction may have applied in
-//! memory, but it was never acknowledged, so "commit returned OK ⇒
-//! survives a crash" still holds.
+//! The leader logs the epoch's records with one sync and publishes
+//! before it fills any result slot (`Service::log_and_publish`). A failed
+//! append or sync turns every committed member's result into
+//! [`ServiceError::Durability`]: the transaction may have applied in
+//! memory, but it was never acknowledged.
 //!
-//! Panic safety: the queue and result slots are `Mutex`es; if a leader
-//! panics mid-epoch, waiters see the poisoned mutex and surface
-//! [`ServiceError::Poisoned`] instead of panicking their own connection
-//! threads (satellite of the sharding work — see `locks.rs` for why the
-//! shard locks themselves recover instead).
+//! Panic safety: a leader that unwinds mid-epoch fails the members it
+//! drained with [`ServiceError::Poisoned`] and resigns, so followers
+//! surface a typed error instead of parking forever (see `locks.rs` for
+//! why the shard locks themselves recover instead).
 
+use crate::commit::{apply_commit, group_by_view, Commit, ShardGuards};
 use crate::error::{ServiceError, ServiceResult};
-use birds_engine::{Engine, EngineResult, ExecutionStats, UndoJournal};
+use birds_engine::ExecutionStats;
 use birds_sql::DmlStatement;
-use birds_store::Delta;
-use birds_wal::{FsyncPolicy, SegmentWriter, WalRecord};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What a completed transaction hands back to its submitter.
 pub(crate) type TxResult = ServiceResult<(u64, ExecutionStats)>;
-
-/// The durability hookup an epoch leader writes through: the owning
-/// shard's segment writer plus the service's fsync policy.
-pub(crate) struct EpochWal<'a> {
-    pub(crate) writer: &'a Mutex<SegmentWriter>,
-    pub(crate) fsync: FsyncPolicy,
-}
-
-impl EpochWal<'_> {
-    /// Append one record under the writer mutex. The segment writer
-    /// seals itself on a real IO failure, so a shard whose log may be
-    /// torn mid-file refuses every further append — no commit is ever
-    /// acknowledged with its record buried behind a torn region.
-    pub(crate) fn append(&self, record: &WalRecord) -> ServiceResult<()> {
-        let mut writer = self
-            .writer
-            .lock()
-            .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?;
-        writer
-            .append(record, self.fsync)
-            .map_err(|e| ServiceError::Durability(format!("wal append failed: {e}")))
-    }
-
-    /// The epoch-end sync, when the policy defers to epoch granularity.
-    pub(crate) fn sync_epoch(&self) -> ServiceResult<()> {
-        if self.fsync.sync_each_epoch() && !self.fsync.sync_each_record() {
-            let mut writer = self
-                .writer
-                .lock()
-                .map_err(|_| ServiceError::Poisoned("wal segment writer".into()))?;
-            writer
-                .sync()
-                .map_err(|e| ServiceError::Durability(format!("wal sync failed: {e}")))?;
-        }
-        Ok(())
-    }
-}
 
 /// One autocommit transaction waiting for an epoch leader.
 pub(crate) struct PendingTx {
@@ -133,52 +89,104 @@ impl PendingTx {
         }
     }
 
-    /// Deliver the result. `pub(crate)` so a live re-shard can fail a
-    /// queued transaction whose view was just unregistered.
+    /// Deliver the result unless one is already waiting. `pub(crate)`
+    /// so a live re-shard can fail a queued transaction whose view was
+    /// just unregistered.
     pub(crate) fn fill(&self, result: TxResult) {
         if let Ok(mut slot) = self.result.lock() {
-            *slot = Some(result);
+            slot.get_or_insert(result);
         }
         // A poisoned slot belongs to a submitter that already panicked;
         // nothing is waiting for the result.
     }
 }
 
-/// Per-shard queue of pending autocommit transactions.
+/// Per-shard queue of pending autocommit transactions, plus the
+/// leadership flag its submitters park on.
 ///
 /// A committer belongs to one topology generation. When a live re-shard
 /// retires its shard, the registrar **closes** the queue under the same
 /// mutex it drains it with ([`GroupCommitter::close_and_drain`]) and
 /// moves every queued transaction to the successor topology's
 /// committers — so a transaction is only ever queued in a committer
-/// whose shard is live, and an enqueue that raced the close is told so
+/// whose shard is live. An enqueue that raced the close is told so
 /// ([`GroupCommitter::enqueue`] returns `false`) and retries against
-/// the current topology.
+/// the current topology; a parked submitter wakes to
+/// [`Turn::Closed`] and follows its transaction.
 #[derive(Default)]
 pub(crate) struct GroupCommitter {
     queue: Mutex<CommitterQueue>,
+    /// Signalled when leadership falls vacant or the committer closes.
+    turn: Condvar,
 }
 
 #[derive(Default)]
 struct CommitterQueue {
     pending: VecDeque<Arc<PendingTx>>,
+    /// A submitter holds leadership (it may still be waiting for the
+    /// shard lock).
+    leading: bool,
     /// Set once, by the re-shard that retired this committer's shard.
     closed: bool,
 }
 
+/// What a parked submitter wakes up to.
+pub(crate) enum Turn<'a> {
+    /// An epoch committed (or rejected) the transaction.
+    Done(TxResult),
+    /// Leadership was vacant and is now the caller's.
+    Lead(Leadership<'a>),
+    /// A live re-shard closed the committer and moved the transaction.
+    Closed,
+}
+
+/// The epoch leader's claim. Dropping it resigns and wakes every parked
+/// submitter; if the leader is unwinding, the members it drained are
+/// failed first, so nobody parks forever on a slot that never fills.
+pub(crate) struct Leadership<'a> {
+    committer: &'a GroupCommitter,
+    drained: Vec<Arc<PendingTx>>,
+}
+
+impl Leadership<'_> {
+    /// Drain everything queued right now: the leader's epoch.
+    pub(crate) fn drain(&mut self) -> ServiceResult<Vec<Arc<PendingTx>>> {
+        self.drained = self.committer.queue()?.pending.drain(..).collect();
+        Ok(self.drained.clone())
+    }
+}
+
+impl Drop for Leadership<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for tx in &self.drained {
+                tx.fill(Err(ServiceError::Poisoned(
+                    "group-commit epoch (its leader panicked)".into(),
+                )));
+            }
+        }
+        let mut queue = self
+            .committer
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        queue.leading = false;
+        self.committer.turn.notify_all();
+    }
+}
+
 impl GroupCommitter {
-    pub(crate) fn new() -> GroupCommitter {
-        GroupCommitter::default()
+    fn queue(&self) -> ServiceResult<MutexGuard<'_, CommitterQueue>> {
+        self.queue
+            .lock()
+            .map_err(|_| ServiceError::Poisoned("group-commit queue".into()))
     }
 
     /// Queue a transaction for the next epoch. Returns `false` (without
     /// queueing) when the committer was closed by a live re-shard — the
     /// submitter reloads the topology and enqueues there instead.
     pub(crate) fn enqueue(&self, tx: Arc<PendingTx>) -> ServiceResult<bool> {
-        let mut queue = self
-            .queue
-            .lock()
-            .map_err(|_| ServiceError::Poisoned("group-commit queue".into()))?;
+        let mut queue = self.queue()?;
         if queue.closed {
             return Ok(false);
         }
@@ -186,187 +194,114 @@ impl GroupCommitter {
         Ok(true)
     }
 
-    /// Drain everything queued right now (the epoch of whichever leader
-    /// holds the shard lock). May be empty when an earlier leader
-    /// already processed this submitter's transaction.
-    pub(crate) fn drain(&self) -> ServiceResult<Vec<Arc<PendingTx>>> {
-        let mut queue = self
-            .queue
-            .lock()
-            .map_err(|_| ServiceError::Poisoned("group-commit queue".into()))?;
-        Ok(queue.pending.drain(..).collect())
+    /// Park the submitter of the queued `tx` until its result is in,
+    /// leadership is vacant (the caller then holds it) or the committer
+    /// closes. The slot is read under the queue mutex and leaders fill
+    /// before they resign under it, so no wake-up is lost.
+    pub(crate) fn wait_turn(&self, tx: &PendingTx) -> ServiceResult<Turn<'_>> {
+        let mut queue = self.queue()?;
+        loop {
+            if let Some(result) = tx.take_result()? {
+                return Ok(Turn::Done(result));
+            }
+            if queue.closed {
+                return Ok(Turn::Closed);
+            }
+            if !queue.leading {
+                queue.leading = true;
+                return Ok(Turn::Lead(Leadership {
+                    committer: self,
+                    drained: Vec::new(),
+                }));
+            }
+            queue = self
+                .turn
+                .wait(queue)
+                .map_err(|_| ServiceError::Poisoned("group-commit queue".into()))?;
+        }
+    }
+
+    /// Transactions queued right now.
+    pub(crate) fn queued(&self) -> usize {
+        self.queue.lock().map_or(0, |queue| queue.pending.len())
     }
 
     /// Close the committer and hand back whatever was queued — called
     /// exactly once, by the re-shard retiring this committer's shard,
     /// while that shard's write lock is held. Close and drain happen
     /// under one mutex acquisition, so no transaction can slip in
-    /// between them; poisoning is recovered (the queue is structurally
+    /// between them, and every parked submitter is woken to follow its
+    /// transaction. Poisoning is recovered (the queue is structurally
     /// sound either way) because the re-shard must complete.
     pub(crate) fn close_and_drain(&self) -> Vec<Arc<PendingTx>> {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         queue.closed = true;
+        self.turn.notify_all();
         queue.pending.drain(..).collect()
     }
 }
 
-/// Derive the net delta of `statements` against the in-lock state of
-/// `view` and apply it in one incremental pass, recording its effects
-/// in `journal` (a failed application has already undone its own). The
-/// derived delta is normalized against that same state, so it is
-/// exactly what gets applied: with `log` set, a copy is returned as the
-/// replay-log entry, unless it is empty (no durable effect). The
-/// in-memory hot path pays no clone.
-pub(crate) fn derive_and_apply(
-    engine: &mut Engine,
-    view: &str,
-    statements: &[DmlStatement],
-    log: bool,
-    journal: &mut UndoJournal,
-) -> EngineResult<(Option<Delta>, ExecutionStats)> {
-    let delta = engine.derive_delta(view, statements)?;
-    let log_copy = (log && !delta.is_empty()).then(|| delta.clone());
-    let stats = engine.apply_delta_journaled(view, delta, journal)?;
-    Ok((log_copy, stats))
+/// One epoch applied under its shard's write lock: the commits in
+/// application order and the members each one acknowledges.
+pub(crate) struct Epoch {
+    pub(crate) commits: Vec<Commit>,
+    members: Vec<Vec<Arc<PendingTx>>>,
 }
 
-/// Apply one epoch under the shard's write lock: group members by view
-/// (first appearance order, preserving queue order within a view),
-/// coalesce each group into one net delta and apply it in a single
-/// incremental pass; on rejection, replay that group's members
-/// individually. Assigns commit sequence numbers (successes only) in
-/// application order and, with a WAL attached, appends one record per
-/// applied delta. Every member's result slot is filled at the end —
-/// after the epoch-end fsync, so a filled `Ok` means durable under the
-/// configured policy.
-///
-/// When at least one delta was applied, `publish` is invoked — still
-/// under the shard lock, after the epoch-end sync but **before any
-/// result slot fills** — with the engine and the epoch's highest
-/// applied commit seq. The caller uses it to publish the shard's MVCC
-/// snapshot: filling first would let a member observe `Ok` and then
-/// miss its own write on the lock-free read path.
-pub(crate) fn process_epoch(
-    engine: &mut Engine,
-    commit_seq: &AtomicU64,
-    epoch: Vec<Arc<PendingTx>>,
-    wal: Option<&EpochWal<'_>>,
-    publish: impl FnOnce(&mut Engine, u64),
-) {
-    let mut groups: Vec<(String, Vec<Arc<PendingTx>>)> = Vec::new();
-    for tx in epoch {
-        match groups.iter_mut().find(|(view, _)| *view == tx.view) {
-            Some((_, group)) => group.push(tx),
-            None => groups.push((tx.view.clone(), vec![tx])),
-        }
-    }
-    // Results are gathered here and filled only after the epoch-end
-    // sync: an autocommit client must never observe `Ok` before its
-    // record is durable under the configured policy.
-    let mut fills: Vec<(Arc<PendingTx>, TxResult)> = Vec::new();
-    let mut appended_any = false;
-    // Highest seq whose delta actually reached the engine (regardless
-    // of later durability failures — memory changed either way): the
-    // snapshot publication tag.
-    let mut max_applied: Option<u64> = None;
-    let log = wal.is_some();
-    // Every application below commits on its own, so each gets a fresh
-    // journal, read only by the engine's undo of a failed application.
-    for (view, group) in groups {
-        let coalesced: Vec<DmlStatement> = group
-            .iter()
-            .flat_map(|tx| tx.statements.iter().cloned())
-            .collect();
-        match derive_and_apply(engine, &view, &coalesced, log, &mut UndoJournal::new()) {
-            Ok((log_copy, stats)) => {
-                let seqs: Vec<u64> = group
-                    .iter()
-                    .map(|_| commit_seq.fetch_add(1, Ordering::SeqCst) + 1)
-                    .collect();
-                max_applied = seqs.last().copied().or(max_applied);
-                let logged = match (wal, log_copy) {
-                    // An empty net delta (`log_copy` is None) has no
-                    // durable effect and is not logged — matching
-                    // the batch-commit path; such a transaction's seq is
-                    // not persisted (see `Service::commits`).
-                    (Some(wal), Some(delta)) => wal
-                        .append(&WalRecord::Commit {
-                            seqs: seqs.clone(),
-                            deltas: vec![(view.clone(), delta)],
-                        })
-                        .map(|()| {
-                            appended_any = true;
-                        }),
-                    _ => Ok(()),
-                };
-                for (tx, seq) in group.into_iter().zip(seqs) {
-                    let result = match &logged {
-                        Ok(()) => Ok((seq, stats.clone())),
-                        Err(e) => Err(e.clone()),
-                    };
-                    fills.push((tx, result));
+impl Epoch {
+    /// Group `txs` by view (first-appearance order, queue order within
+    /// a view) and commit each group's coalesced statements at once; a
+    /// rejected group is committed member by member, and a rejected
+    /// member learns its error at once: it changed nothing that needs
+    /// publishing. `guards` holds exactly the epoch's shard.
+    pub(crate) fn apply(
+        guards: &mut ShardGuards<'_>,
+        txs: Vec<Arc<PendingTx>>,
+        commit_seq: &AtomicU64,
+        log: bool,
+    ) -> Epoch {
+        let shard = guards[0].0;
+        let mut epoch = Epoch {
+            commits: Vec::new(),
+            members: Vec::new(),
+        };
+        for (view, group) in group_by_view(txs, |tx| tx.view()) {
+            let coalesced: Vec<DmlStatement> = group
+                .iter()
+                .flat_map(|tx| tx.statements.iter().cloned())
+                .collect();
+            let statements = [(view.as_str(), coalesced.as_slice())];
+            let members = group.len() as u64;
+            match apply_commit(guards, |_| shard, statements, members, commit_seq, log) {
+                Ok(commit) => {
+                    epoch.commits.push(commit);
+                    epoch.members.push(group);
                 }
-            }
-            Err(_) if group.len() > 1 => {
-                // The coalesced epoch was rejected; preserve
-                // per-transaction semantics by replaying individually
-                // (each successful member logged as its own record).
-                for tx in group {
-                    let journal = &mut UndoJournal::new();
-                    match derive_and_apply(engine, &tx.view, &tx.statements, log, journal) {
-                        Ok((log_copy, stats)) => {
-                            let seq = commit_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                            max_applied = Some(seq);
-                            let logged = match (wal, log_copy) {
-                                (Some(wal), Some(delta)) => wal
-                                    .append(&WalRecord::Commit {
-                                        seqs: vec![seq],
-                                        deltas: vec![(tx.view.clone(), delta)],
-                                    })
-                                    .map(|()| {
-                                        appended_any = true;
-                                    }),
-                                _ => Ok(()),
-                            };
-                            let result = match logged {
-                                Ok(()) => Ok((seq, stats)),
-                                Err(e) => Err(e),
-                            };
-                            fills.push((tx, result));
+                Err(_) => {
+                    for tx in group {
+                        let statements = [(tx.view(), tx.statements.as_slice())];
+                        match apply_commit(guards, |_| shard, statements, 1, commit_seq, log) {
+                            Ok(commit) => {
+                                epoch.commits.push(commit);
+                                epoch.members.push(vec![tx]);
+                            }
+                            Err(e) => tx.fill(Err(ServiceError::Engine(e))),
                         }
-                        Err(e) => fills.push((tx, Err(ServiceError::Engine(e)))),
-                    }
-                }
-            }
-            Err(e) => {
-                // Single-member group: the net path *is* the individual
-                // path (derive + normalize + apply); report its error.
-                for tx in group {
-                    fills.push((tx, Err(ServiceError::Engine(e.clone()))));
-                }
-            }
-        }
-    }
-    // Epoch-end sync: one fdatasync covers every record this epoch
-    // appended (the group-commit durability amortization). If it fails,
-    // no member is acknowledged.
-    if let Some(wal) = wal {
-        if appended_any {
-            if let Err(e) = wal.sync_epoch() {
-                for (_, result) in &mut fills {
-                    if result.is_ok() {
-                        *result = Err(e.clone());
                     }
                 }
             }
         }
+        epoch
     }
-    // Publish before filling: a member must find its own write on the
-    // lock-free read path the moment it learns it committed.
-    if let Some(seq) = max_applied {
-        publish(engine, seq);
-    }
-    for (tx, result) in fills {
-        tx.fill(result);
+
+    /// Deliver every committed member's result: its seq and its
+    /// commit's stats — or `logged`'s error, if the epoch could not be
+    /// made durable.
+    pub(crate) fn fill(self, logged: ServiceResult<()>) {
+        for (commit, members) in self.commits.iter().zip(self.members) {
+            for (tx, seq) in members.into_iter().zip(commit.seqs.clone()) {
+                tx.fill(logged.clone().map(|()| (seq, commit.stats.clone())));
+            }
+        }
     }
 }

@@ -16,11 +16,13 @@
 //!   in parallel. A global commit sequence still numbers every
 //!   transaction: the concurrent history remains equivalent to its
 //!   serial replay in commit order.
-//! * [`group_commit`] — autocommit transactions queue per shard and the
-//!   first submitter to win the shard lock applies the whole epoch as
-//!   one *net* delta per view, giving batch-level throughput to clients
-//!   that never call `begin`/`commit` (Obladi-style epochs; an optional
-//!   window trades latency for epoch depth).
+//! * [`group_commit`] — autocommit transactions queue per shard and park;
+//!   whichever submitter finds leadership vacant applies everything
+//!   queued as one epoch, one *net* delta per view, giving batch-level
+//!   throughput to clients that never call `begin`/`commit`. There is no
+//!   gather window: an epoch is what queued behind the previous one.
+//!   Epochs and session batches share one commit core (apply all or
+//!   nothing, take seqs, log, publish, then acknowledge).
 //! * [`snapshot`] — **MVCC snapshot reads**. Every commit publishes an
 //!   immutable, `Arc`-shared image of each shard it touched (copy-on-
 //!   write at the tuple-set level, so only touched relations are
@@ -43,14 +45,14 @@
 //!   each in a **single** incremental pass.
 //! * [`Service::open`] — the **durable** construction: recover a data
 //!   directory (latest snapshot + WAL replay in global commit-seq
-//!   order, torn tails discarded by CRC), then write every committed
-//!   epoch's net per-view deltas ahead — appended to the owning shard's
+//!   order, torn tails discarded by CRC), then write every commit's
+//!   net per-view deltas ahead — appended to the owning shard's
 //!   `birds_wal` segment under the shard lock, synced per
 //!   [`DurabilityConfig`]'s fsync policy *before* the commit is
 //!   acknowledged — with size-based segment rotation and
 //!   snapshot-then-truncate checkpointing ([`Service::checkpoint`],
-//!   automatic every `checkpoint_every` commits). Group-commit epochs
-//!   double as WAL batch boundaries (Obladi, arXiv:1809.10559).
+//!   automatic every `checkpoint_every` commits). A group-commit epoch
+//!   syncs all its records at once (Obladi, arXiv:1809.10559).
 //! * **Dynamic registration** ([`Service::register_view`] /
 //!   [`Service::unregister_view`], PR 10) — views are registered and
 //!   deregistered on the **live** service: the strategy is validated
@@ -87,6 +89,7 @@
 //!
 //! [`LockId`]: locks::LockId
 
+mod commit;
 mod conn;
 pub mod error;
 pub mod footprint;

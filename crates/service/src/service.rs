@@ -52,7 +52,7 @@
 //!   same counter while holding every affected shard's write lock, so
 //!   the WAL's interleaving of topology changes and commits is exact.
 //! * **All-or-nothing commits**: every view application of a commit
-//!   records its effective mutations in an [`UndoJournal`]; if any view
+//!   records its effective mutations in an [`birds_engine::UndoJournal`]; if any view
 //!   of a batch fails, the journals revert the earlier ones, and the
 //!   commit takes no seq, writes no WAL record and publishes nothing.
 //! * **Snapshot visibility**: every commit publishes its touched
@@ -65,10 +65,11 @@
 //!   successor image (replacement shards tagged with the registration's
 //!   seq) *before* the topology swap, so a new-generation writer always
 //!   finds its slot in the image.
-//! * **Durability coupling**: on a durable service, no result slot is
-//!   filled until the epoch-end fsync ran (see [`crate::group_commit`]),
-//!   and a registration is installed only after its
-//!   [`WalRecord::Register`] reached the log.
+//! * **Durability coupling**: on a durable service, no commit is
+//!   acknowledged — batch or group-commit epoch alike — until its
+//!   records were logged and synced per the fsync policy
+//!   (`Service::log_and_publish`), and a registration is installed only
+//!   after its [`WalRecord::Register`] reached the log.
 //!
 //! ## Read path
 //!
@@ -91,18 +92,18 @@
 //!   view and applies each in a single incremental pass, locking exactly
 //!   the shards its views live in.
 
+use crate::commit::{apply_commit, group_by_view, log_records, Commit, ShardGuards};
 use crate::error::{ServiceError, ServiceResult};
 use crate::footprint::{partition, ShardMap};
-use crate::group_commit::{derive_and_apply, EpochWal, GroupCommitter, PendingTx};
+use crate::group_commit::{Epoch, GroupCommitter, Leadership, PendingTx, Turn};
 use crate::locks::{LockId, LockManager};
 use crate::snapshot::{ServiceSnapshot, ShardSnapshot};
 use birds_core::UpdateStrategy;
 use birds_engine::{
-    strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, UndoJournal,
-    ViewDefinition,
+    strategy_touches, Engine, EngineError, ExecutionStats, StrategyMode, ViewDefinition,
 };
 use birds_sql::{parse_script, DmlStatement};
-use birds_store::{Database, Delta, Relation, RelationVersion, Tuple};
+use birds_store::{Database, Relation, RelationVersion, Tuple};
 use birds_wal::{
     FsyncPolicy, Registration, SegmentWriter, ViewDef, WalRecord, DEFAULT_SEGMENT_BYTES,
 };
@@ -110,26 +111,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
-use std::time::Duration;
 
-/// Service tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Group-commit epoch window: how long an autocommit submitter parks
-    /// before its first leadership attempt, letting concurrent
-    /// transactions pile into the same epoch. `0` (the default) keeps
-    /// single-statement latency and still coalesces whatever queued
-    /// while the previous epoch held the shard lock.
-    pub epoch_window: Duration,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            epoch_window: Duration::ZERO,
-        }
-    }
-}
+/// Service construction settings, accepted by [`Service::open`]. It
+/// carries none today: group commit needs no gather window (see
+/// [`crate::group_commit`]). Build it with `ServiceConfig::default()`.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct ServiceConfig {}
 
 /// Durability knobs for [`Service::open`]: where the data directory
 /// lives and how eagerly the WAL reaches stable storage.
@@ -236,7 +224,6 @@ struct ServiceInner {
     /// acquired while holding it, and it is held only for a pointer
     /// clone or for building the successor's shard vector.
     image: RwLock<Arc<ServiceSnapshot>>,
-    config: ServiceConfig,
     /// `Some` when the service is durable ([`Service::open`]).
     wal: Option<WalState>,
 }
@@ -403,14 +390,9 @@ pub struct Service {
 
 impl Service {
     /// Wrap an engine (typically with views already registered),
-    /// splitting it into footprint shards with the default config.
+    /// splitting it into footprint shards.
     pub fn new(engine: Engine) -> Self {
-        Service::with_config(engine, ServiceConfig::default())
-    }
-
-    /// Wrap an engine with explicit tuning knobs.
-    pub fn with_config(engine: Engine, config: ServiceConfig) -> Self {
-        Service::build(engine, config, None).expect("in-memory service construction cannot fail")
+        Service::build(engine, None).expect("in-memory service construction cannot fail")
     }
 
     /// Open a **durable** service: recover the data directory (latest
@@ -477,17 +459,13 @@ impl Service {
     /// ```
     pub fn open(
         engine: Engine,
-        config: ServiceConfig,
+        _config: ServiceConfig,
         durability: DurabilityConfig,
     ) -> ServiceResult<Service> {
-        Service::build(engine, config, Some(durability))
+        Service::build(engine, Some(durability))
     }
 
-    fn build(
-        mut engine: Engine,
-        config: ServiceConfig,
-        durability: Option<DurabilityConfig>,
-    ) -> ServiceResult<Service> {
+    fn build(mut engine: Engine, durability: Option<DurabilityConfig>) -> ServiceResult<Service> {
         let mut start_seq = 0u64;
         let durability = match durability {
             None => None,
@@ -545,9 +523,7 @@ impl Service {
                 )
             }
         };
-        let committers = (0..shard_count)
-            .map(|_| Arc::new(GroupCommitter::new()))
-            .collect();
+        let committers = (0..shard_count).map(|_| Arc::default()).collect();
         let shards = LockManager::new(components.into_iter().map(Some).collect());
         // Initial publication: every shard's image as of the recovered
         // (or zero) commit seq. Nothing is shared yet, so the slot
@@ -573,7 +549,6 @@ impl Service {
                 registration_lock: Mutex::new(()),
                 commit_seq: AtomicU64::new(start_seq),
                 image: RwLock::new(Arc::new(image)),
-                config,
                 wal,
             }),
         })
@@ -761,6 +736,19 @@ impl Service {
         })
     }
 
+    /// Test hook: how many autocommit transactions wait in the group
+    /// committer of the shard owning `relation`. Holding that shard
+    /// ([`Service::debug_write_lock_shard`]) until a known number of
+    /// submitters has queued makes the next epoch's coalescing
+    /// deterministic.
+    #[doc(hidden)]
+    pub fn debug_queued_autocommits(&self, relation: &str) -> usize {
+        let topo = self.topology();
+        topo.route
+            .shard_of(relation)
+            .map_or(0, |shard| topo.committers[shard.index()].queued())
+    }
+
     /// Test hook: drain the engines' shared read-trace sink (enable it
     /// with [`Engine::set_read_trace`] before constructing the
     /// service). All shards share one sink `Arc`, so draining any live
@@ -842,94 +830,133 @@ impl Service {
     }
 
     /// Autocommit one transaction through the target shard's group
-    /// committer: enqueue, optionally park for the epoch window, then
-    /// contend for epoch leadership until the result slot fills.
+    /// committer: enqueue, then park until an epoch commits it — leading
+    /// that epoch when leadership is vacant, and following the
+    /// transaction to its new committer when a live re-shard moves it.
     fn submit_autocommit(
         &self,
         view: String,
         statements: Vec<DmlStatement>,
     ) -> ServiceResult<(u64, ExecutionStats)> {
         let tx = PendingTx::new(view, statements);
-        let mut topo = self.topology();
-        let mut shard = loop {
+        let mut queued = false;
+        let result = loop {
+            let topo = self.topology();
             let Some(shard) = topo.route.shard_of(tx.view()) else {
-                return Err(ServiceError::Engine(EngineError::NotAView(
-                    tx.view().to_owned(),
-                )));
+                // An unknown view — or an unregister retired it, failing
+                // our queued transaction before installing this route.
+                let e = ServiceError::Engine(EngineError::NotAView(tx.view().into()));
+                break tx.take_result()?.unwrap_or(Err(e));
             };
-            if topo.committers[shard.index()].enqueue(Arc::clone(&tx))? {
-                break shard;
+            let committer = &topo.committers[shard.index()];
+            if !queued {
+                queued = committer.enqueue(Arc::clone(&tx))?;
+                if !queued {
+                    // Closed by a live re-shard that raced our topology
+                    // load; reload and enqueue in the successor.
+                    std::thread::yield_now();
+                    continue;
+                }
             }
-            // The committer was closed by a live re-shard that raced our
-            // topology load; reload and enqueue in the successor.
-            std::thread::yield_now();
-            topo = self.topology();
+            let turn = committer.wait_turn(&tx)?;
+            match turn {
+                Turn::Done(result) => break result,
+                Turn::Lead(leadership) => self.lead_epoch(&topo, shard, leadership)?,
+                // A live re-shard moved the transaction to a successor
+                // committer; find it once the successor topology is in.
+                Turn::Closed => std::thread::yield_now(),
+            }
         };
-        let window = self.inner.config.epoch_window;
-        let mut result = None;
-        if !window.is_zero() {
-            // Epoch window: park so concurrent submitters can join this
-            // epoch; the sleeps of parked submitters overlap, so offered
-            // concurrency turns into epoch depth.
-            std::thread::sleep(window);
-            result = tx.take_result()?;
-        }
-        let result = match result {
-            Some(result) => result,
-            None => loop {
-                let mut stale = false;
-                {
-                    let mut slot = topo.shards.write(shard);
-                    match slot.as_mut() {
-                        Some(engine) => {
-                            let epoch = topo.committers[shard.index()].drain()?;
-                            if !epoch.is_empty() {
-                                let epoch_wal = self.inner.wal.as_ref().map(|wal| EpochWal {
-                                    writer: &topo.writers[shard.index()],
-                                    fsync: wal.fsync,
-                                });
-                                crate::group_commit::process_epoch(
-                                    engine,
-                                    &self.inner.commit_seq,
-                                    epoch,
-                                    epoch_wal.as_ref(),
-                                    |engine, seq| self.publish([(shard, engine)], seq),
-                                );
-                            }
-                        }
-                        // The shard was retired by a live re-shard while
-                        // we blocked on its lock; the registrar migrated
-                        // (or failed) our queued transaction.
-                        None => stale = true,
-                    }
-                }
-                if stale {
-                    topo = self.topology();
-                    if let Some(successor) = topo.route.shard_of(tx.view()) {
-                        shard = successor;
-                    }
-                    // An unroutable view means an unregister raced us;
-                    // the registrar failed our transaction, so the next
-                    // `take_result` breaks out.
-                }
-                if let Some(result) = tx.take_result()? {
-                    break result;
-                }
-                // Not filled and the queue was empty: another leader
-                // drained our transaction and is mid-epoch; loop and
-                // re-check (the next lock acquisition blocks until that
-                // epoch finishes).
-            },
-        };
-        // Every member counts toward the checkpoint threshold — leaders
-        // and window-parked followers alike (a follower returning early
-        // must not let the WAL outgrow `checkpoint_every`).
-        match &result {
-            Ok(_) => self.after_durable_commit(1),
-            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(),
-            Err(_) => {}
-        }
+        self.after_commit(&result);
         result
+    }
+
+    /// Run one group-commit epoch as the shard's leader: drain its
+    /// queue under the write lock, apply, log and publish, then fill
+    /// every member's result. A retired slot means a re-shard closed
+    /// the committer; the leader's next turn reports that.
+    fn lead_epoch(
+        &self,
+        topo: &Topology,
+        shard: LockId,
+        mut leadership: Leadership<'_>,
+    ) -> ServiceResult<()> {
+        let mut guards = topo.shards.write_set(vec![shard]);
+        if guards[0].1.is_some() {
+            let txs = leadership.drain()?;
+            let log = self.inner.wal.is_some();
+            let epoch = Epoch::apply(&mut guards, txs, &self.inner.commit_seq, log);
+            let logged = self.log_and_publish(topo, &mut guards, &epoch.commits);
+            epoch.fill(logged);
+        }
+        Ok(())
+    }
+
+    /// Make `commits` — applied in order under `guards` — durable and
+    /// visible, before any submitter learns the outcome: append their
+    /// records to the lowest locked shard's segment with one sync, then
+    /// publish every locked shard at the last commit's seq. Every
+    /// appender to that segment holds that shard's write lock, so the
+    /// log stays append-ordered. Publication happens even when logging
+    /// fails: memory changed, the commits were just not acknowledged.
+    fn log_and_publish(
+        &self,
+        topo: &Topology,
+        guards: &mut ShardGuards<'_>,
+        commits: &[Commit],
+    ) -> ServiceResult<()> {
+        let Some(last) = commits.last() else {
+            return Ok(());
+        };
+        let logged = match &self.inner.wal {
+            Some(wal) => log_records(
+                &topo.writers[guards[0].0.index()],
+                wal.fsync,
+                commits.iter().filter_map(|commit| commit.record.as_ref()),
+            ),
+            None => Ok(()),
+        };
+        self.publish(
+            guards
+                .iter_mut()
+                .map(|(id, slot)| (*id, slot.as_mut().expect("commit holds live slots"))),
+            last.seqs.end - 1,
+        );
+        logged
+    }
+
+    /// The post-commit hook of every commit path, run with no shard lock
+    /// held (checkpointing takes them all): a durability failure tries to
+    /// heal the sealed log; a durable commit bumps the checkpoint counter
+    /// and runs an automatic checkpoint when the threshold is crossed.
+    fn after_commit<T>(&self, result: &ServiceResult<T>) {
+        if let Err(ServiceError::Durability(_)) = result {
+            self.heal_after_durability_failure();
+        }
+        let (Ok(_), Some(wal)) = (result, &self.inner.wal) else {
+            return;
+        };
+        let Some(every) = wal.checkpoint_every else {
+            return;
+        };
+        let count = wal.commits_since_checkpoint.fetch_add(1, Ordering::SeqCst) + 1;
+        if count < every {
+            return;
+        }
+        // One volunteer checkpoints; contenders skip (their commits are
+        // covered by the volunteer's snapshot anyway).
+        let Ok(guard) = wal.checkpoint_lock.try_lock() else {
+            return;
+        };
+        if wal.commits_since_checkpoint.load(Ordering::SeqCst) < every {
+            return; // someone checkpointed while we raced for the lock
+        }
+        if let Err(e) = self.checkpoint_locked(wal, &guard) {
+            // A failed automatic checkpoint only means the WAL keeps
+            // growing; durability is unaffected. Surface it and retry at
+            // the next threshold crossing.
+            eprintln!("[birds-service] automatic checkpoint failed: {e}");
+        }
     }
 
     /// Best-effort self-heal after a commit failed durably. A WAL
@@ -980,36 +1007,6 @@ impl Service {
                     );
                 }
             }
-        }
-    }
-
-    /// Bump the checkpoint counter after `n` durable commits and run an
-    /// automatic checkpoint when the threshold is crossed. Called with
-    /// no shard locks held (checkpointing takes them all).
-    fn after_durable_commit(&self, n: u64) {
-        let Some(wal) = &self.inner.wal else {
-            return;
-        };
-        let Some(every) = wal.checkpoint_every else {
-            return;
-        };
-        let count = wal.commits_since_checkpoint.fetch_add(n, Ordering::SeqCst) + n;
-        if count < every {
-            return;
-        }
-        // One volunteer checkpoints; contenders skip (their commits are
-        // covered by the volunteer's snapshot anyway).
-        let Ok(guard) = wal.checkpoint_lock.try_lock() else {
-            return;
-        };
-        if wal.commits_since_checkpoint.load(Ordering::SeqCst) < every {
-            return; // someone checkpointed while we raced for the lock
-        }
-        if let Err(e) = self.checkpoint_locked(wal, &guard) {
-            // A failed automatic checkpoint only means the WAL keeps
-            // growing; durability is unaffected. Surface it and retry at
-            // the next threshold crossing.
-            eprintln!("[birds-service] automatic checkpoint failed: {e}");
         }
     }
 
@@ -1217,13 +1214,8 @@ impl Service {
             self.register_view_locked(strategy, mode, quiesce_hook)
         };
         // Registration consumed a durable commit seq; run the same
-        // post-commit bookkeeping as the write paths (checkpoint
-        // threshold, emergency heal) with no locks held.
-        match &result {
-            Ok(_) => self.after_durable_commit(1),
-            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(),
-            Err(_) => {}
-        }
+        // post-commit hook as the write paths, with no locks held.
+        self.after_commit(&result);
         result
     }
 
@@ -1243,11 +1235,7 @@ impl Service {
                 .map_err(|_| ServiceError::Poisoned("registration lock".into()))?;
             self.unregister_view_locked(view)
         };
-        match &result {
-            Ok(_) => self.after_durable_commit(1),
-            Err(ServiceError::Durability(_)) => self.heal_after_durability_failure(),
-            Err(_) => {}
-        }
+        self.after_commit(&result);
         result
     }
 
@@ -1483,15 +1471,7 @@ impl Service {
             // record must be durable *before* the swap: after the swap,
             // commits through the new view would be unreplayable without
             // it.
-            let log_slot = retired[0];
-            let epoch_wal = EpochWal {
-                writer: &writers[log_slot.index()],
-                fsync: wal.fsync,
-            };
-            if let Err(e) = epoch_wal
-                .append(record)
-                .and_then(|()| epoch_wal.sync_epoch())
-            {
+            if let Err(e) = log_records(&writers[retired[0].index()], wal.fsync, [record]) {
                 return Err(InstallError::Aborted(
                     Box::new(
                         Engine::merge(components).expect("components of one engine are disjoint"),
@@ -1522,14 +1502,14 @@ impl Service {
                 // generation's lock set can never reach this engine.
                 fresh.push((index, Arc::new(ShardSnapshot::capture(&mut component, seq))));
                 slots.push(Arc::new(RwLock::new(Some(component))));
-                committers.push(Arc::new(GroupCommitter::new()));
+                committers.push(Arc::default());
             } else if retired.iter().any(|id| id.index() == index) {
                 // Retired without replacement: the slot stays `None`
                 // forever (in this and all later generations unless a
                 // future re-shard reuses the index with fresh Arcs).
                 fresh.push((index, Arc::new(ShardSnapshot::empty(seq))));
                 slots.push(Arc::new(RwLock::new(None)));
-                committers.push(Arc::new(GroupCommitter::new()));
+                committers.push(Arc::default());
             } else if index < old_len {
                 // Survivor: same Arcs across generations — LockId
                 // identity is what keeps ascending lock order global.
@@ -1720,127 +1700,49 @@ impl Session {
                 stats: ExecutionStats::default(),
             });
         }
-        // Group by view, keeping first-appearance order of views and
-        // arrival order of statements within each view.
-        let mut groups: Vec<(String, Vec<DmlStatement>)> = Vec::new();
-        for stmt in statements {
-            match groups.iter_mut().find(|(view, _)| view == stmt.table()) {
-                Some((_, group)) => group.push(stmt),
-                None => groups.push((stmt.table().to_owned(), vec![stmt])),
-            }
-        }
-        loop {
+        let groups = group_by_view(statements, |stmt| stmt.table());
+        let service = &self.service;
+        let (commit, logged) = loop {
             // The commit's footprint: the owning shard of every target
             // view, write-locked in global id order (deadlock-free;
             // commits on disjoint shards don't contend at all). A `None`
             // slot means a live re-shard retired the generation while we
             // blocked — reload the topology and re-resolve.
-            let topo = self.service.topology();
+            let topo = service.topology();
             let lock_set = topo
                 .route
                 .lock_set(groups.iter().map(|(view, _)| view.as_str()))?;
-            let guards = topo.shards.write_set(lock_set);
+            let mut guards = topo.shards.write_set(lock_set);
             if guards.iter().any(|(_, slot)| slot.is_none()) {
                 drop(guards);
                 std::thread::yield_now();
                 continue;
             }
-            return self.commit_locked(&topo, guards, &groups, statement_count);
-        }
-    }
-
-    fn commit_locked(
-        &mut self,
-        topo: &Topology,
-        mut guards: Vec<(LockId, RwLockWriteGuard<'_, Option<Engine>>)>,
-        groups: &[(String, Vec<DmlStatement>)],
-        statement_count: usize,
-    ) -> ServiceResult<CommitOutcome> {
-        let inner = &self.service.inner;
-        let mut total = ExecutionStats::default();
-        // The applied per-view net deltas, in application order — the
-        // WAL record for this commit.
-        let mut applied: Vec<(String, Delta)> = Vec::new();
-        // One undo journal per locked shard, parallel to `guards`.
-        let mut journals: Vec<UndoJournal> = guards.iter().map(|_| UndoJournal::new()).collect();
-        for (view, group) in groups {
-            let shard = topo
-                .route
-                .shard_of(view)
-                .expect("lock_set resolved every view");
-            let at = guards
-                .iter()
-                .position(|(id, _)| *id == shard)
-                .expect("footprint guards cover every target view");
-            let engine = guards[at].1.as_mut().expect("commit holds live slots");
-            // Derive against the in-lock state so earlier groups'
-            // cascades are visible, then apply in one pass.
-            match derive_and_apply(engine, view, group, inner.wal.is_some(), &mut journals[at]) {
-                Ok((log_copy, stats)) => {
-                    total.view_delta_size += stats.view_delta_size;
-                    total.source_delta_size += stats.source_delta_size;
-                    total.cascades += stats.cascades;
-                    if let Some(delta) = log_copy {
-                        applied.push((view.clone(), delta));
-                    }
-                }
-                Err(e) => {
-                    // All or nothing: revert the views applied before
-                    // this one. The failed commit takes no seq, logs
-                    // nothing and publishes nothing.
-                    for ((_, slot), journal) in guards.iter_mut().zip(&mut journals) {
-                        slot.as_mut()
-                            .expect("commit holds live slots")
-                            .undo(journal);
-                    }
-                    return Err(ServiceError::Engine(e));
-                }
-            }
-        }
-        let commit_seq = self.service.next_commit_seq();
-        let logged = match &inner.wal {
-            Some(wal) if !applied.is_empty() => {
-                // Log to the lowest-id locked shard (guards are
-                // ascending): every appender to that segment holds that
-                // shard's write lock, so the log stays append-ordered.
-                // Same append + epoch-sync discipline as the group
-                // committer's `EpochWal` — this one-record commit is its
-                // own epoch.
-                let epoch_wal = EpochWal {
-                    writer: &topo.writers[guards[0].0.index()],
-                    fsync: wal.fsync,
-                };
-                epoch_wal
-                    .append(&WalRecord::Commit {
-                        seqs: vec![commit_seq],
-                        deltas: applied,
-                    })
-                    .and_then(|()| epoch_wal.sync_epoch())
-            }
-            _ => Ok(()),
+            let commit = apply_commit(
+                &mut guards,
+                |view| {
+                    topo.route
+                        .shard_of(view)
+                        .expect("lock_set resolved every view")
+                },
+                groups
+                    .iter()
+                    .map(|(view, group)| (view.as_str(), group.as_slice())),
+                1,
+                &service.inner.commit_seq,
+                service.inner.wal.is_some(),
+            )
+            .map_err(ServiceError::Engine)?;
+            let logged = service.log_and_publish(&topo, &mut guards, std::slice::from_ref(&commit));
+            break (commit, logged);
         };
-        // Publish every locked shard at the new high-water seq — after
-        // the WAL append, before the locks drop and before the caller
-        // learns the outcome (read-your-writes on the lock-free path).
-        // A failed append publishes too: memory changed, it just was
-        // not durably acknowledged.
-        self.service.publish(
-            guards
-                .iter_mut()
-                .map(|(id, slot)| (*id, slot.as_mut().expect("commit holds live slots"))),
-            commit_seq,
-        );
-        drop(guards);
-        if let Err(e) = logged {
-            self.service.heal_after_durability_failure();
-            return Err(e);
-        }
-        self.service.after_durable_commit(1);
+        service.after_commit(&logged);
+        logged?;
         Ok(CommitOutcome {
-            commit_seq,
+            commit_seq: commit.seqs.start,
             statements: statement_count,
             views: groups.len(),
-            stats: total,
+            stats: commit.stats,
         })
     }
 

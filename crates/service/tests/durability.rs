@@ -12,7 +12,7 @@ use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
 use birds_service::{DurabilityConfig, Service, ServiceConfig};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind, Tuple};
-use birds_wal::FsyncPolicy;
+use birds_wal::{FsyncPolicy, WalRecord};
 use std::path::{Path, PathBuf};
 
 /// SplitMix64 — tiny deterministic RNG, no dependencies (same trick as
@@ -429,44 +429,62 @@ fn multi_view_batch_commits_replay_in_application_order() {
 
 #[test]
 fn group_commit_epochs_are_wal_batches() {
-    // Concurrent autocommit clients under a real epoch window: every
-    // acknowledged transaction must survive a restart, however the
-    // epochs coalesced.
+    // Each epoch queues CLIENTS autocommit inserts behind the held shard
+    // and commits them as one WAL record carrying every member's seq;
+    // every acknowledged transaction survives a restart.
+    const CLIENTS: usize = 8;
+    const EPOCHS: usize = 5;
     let dir = temp_dir("epochs");
     {
-        let service = Service::open(
-            union_engine(),
-            ServiceConfig {
-                epoch_window: std::time::Duration::from_micros(200),
-            },
-            durable(&dir, FsyncPolicy::Epoch, None),
-        )
-        .unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|client| {
-                let service = service.clone();
-                std::thread::spawn(move || {
-                    let mut session = service.session();
-                    for i in 0..10 {
-                        let value = 1000 + client * 100 + i;
-                        session
+        let service = open(union_engine(), &dir, FsyncPolicy::Epoch);
+        for epoch in 0..EPOCHS {
+            let held = service.debug_write_lock_shard("v").unwrap();
+            let submitters: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let service = service.clone();
+                    let value = 1000 + client * 100 + epoch;
+                    std::thread::spawn(move || {
+                        service
+                            .session()
                             .execute(&format!("INSERT INTO v VALUES ({value});"))
-                            .unwrap();
-                    }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                .collect();
+            while service.debug_queued_autocommits("v") < CLIENTS {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            drop(held);
+            for submitter in submitters {
+                submitter.join().unwrap().unwrap();
+            }
         }
-        assert_eq!(service.commits(), 40);
+        assert_eq!(service.commits(), (CLIENTS * EPOCHS) as u64);
     }
+    let records = birds_wal::recover(&dir).unwrap().records;
+    let seqs: Vec<Vec<u64>> = records
+        .iter()
+        .map(|record| match record {
+            WalRecord::Commit { seqs, .. } => seqs.clone(),
+            other => panic!("unexpected record {other:?}"),
+        })
+        .collect();
+    let expected: Vec<Vec<u64>> = (0..EPOCHS as u64)
+        .map(|epoch| {
+            (1..=CLIENTS as u64)
+                .map(|m| epoch * CLIENTS as u64 + m)
+                .collect()
+        })
+        .collect();
+    assert_eq!(
+        seqs, expected,
+        "one record per epoch, carrying every member seq"
+    );
     let recovered = open(union_engine(), &dir, FsyncPolicy::Epoch);
-    assert_eq!(recovered.commits(), 40);
+    assert_eq!(recovered.commits(), (CLIENTS * EPOCHS) as u64);
     let v = sorted(&recovered, "v");
-    for client in 0..4 {
-        for i in 0..10 {
-            let value = 1000 + client * 100 + i;
+    for client in 0..CLIENTS {
+        for epoch in 0..EPOCHS {
+            let value = (1000 + client * 100 + epoch) as i64;
             assert!(v.contains(&tuple![value]), "lost acked insert {value}");
         }
     }

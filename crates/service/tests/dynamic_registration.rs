@@ -10,7 +10,7 @@ use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
 use birds_service::{DurabilityConfig, LocalClient, Service, ServiceConfig, ServiceError};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind, Tuple};
-use birds_wal::FsyncPolicy;
+use birds_wal::{FsyncPolicy, WalRecord};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -193,6 +193,69 @@ fn commits_on_untouched_shards_proceed_during_quiesce() {
     // are refreshed explicitly, per the engine's `refresh_view`
     // contract — so the late v0 insert does not appear in w.)
     assert_eq!(sorted(&service, "w"), vec![tuple![1], tuple![10]]);
+}
+
+/// Autocommit transactions parked behind a shard that a registration
+/// then merges away: the re-shard closes the retired committer and moves
+/// its queue to the successor's, and the parked submitters follow. Each
+/// transaction is applied and acknowledged exactly once, after the
+/// registration, and the commit sequence stays dense.
+#[test]
+fn parked_autocommits_follow_their_transactions_through_a_reshard() {
+    const CLIENTS: usize = 6;
+    let dir = temp_dir("parked");
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.checkpoint_every = None;
+    {
+        let service = Service::open(
+            engine_with_free_tables(1),
+            ServiceConfig::default(),
+            durability,
+        )
+        .unwrap();
+        let mut submitters = Vec::new();
+        // w = a0 ∪ p merges v0's shard with p's. While its barrier holds
+        // v0's shard, every submitter queues in v0's committer: the first
+        // leads and waits for the lock, the rest park.
+        let seq = service
+            .register_view_with_quiesce_hook(
+                union_strategy("w", "a0", "p"),
+                StrategyMode::Incremental,
+                || {
+                    for client in 0..CLIENTS {
+                        let service = service.clone();
+                        submitters.push(std::thread::spawn(move || {
+                            let sql = format!("INSERT INTO v0 VALUES ({});", 100 + client);
+                            service.session().execute(&sql)
+                        }));
+                    }
+                    while service.debug_queued_autocommits("v0") < CLIENTS {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                },
+            )
+            .unwrap();
+        assert_eq!(seq, 1, "nothing committed before the registration");
+        for submitter in submitters {
+            submitter.join().unwrap().unwrap();
+        }
+        assert_eq!(service.commits(), CLIENTS as u64 + 1);
+        let a0 = sorted(&service, "a0");
+        for client in 0..CLIENTS {
+            assert!(a0.contains(&tuple![100 + client as i64]));
+        }
+    }
+    // The log holds the registration, then ONE epoch on the successor
+    // shard carrying every moved transaction's seq exactly once.
+    let records = birds_wal::recover(&dir).unwrap().records;
+    assert!(matches!(&records[0], WalRecord::Register(reg) if reg.seq == 1));
+    match &records[1..] {
+        [WalRecord::Commit { seqs, .. }] => {
+            assert_eq!(*seqs, (2..=CLIENTS as u64 + 1).collect::<Vec<_>>())
+        }
+        other => panic!("expected one epoch record, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Footprint conformance: the registration's engine work reads only

@@ -10,7 +10,7 @@
 
 use birds_core::UpdateStrategy;
 use birds_engine::{Engine, StrategyMode};
-use birds_service::{Service, ServiceConfig, ServiceError};
+use birds_service::{ExecOutcome, Service, ServiceError, ServiceResult};
 use birds_store::{tuple, Database, DatabaseSchema, Relation, Schema, SortKind, Value};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -185,7 +185,7 @@ fn reads_route_and_teardown_merges_all_shards() {
 
 /// A selection view with a domain constraint (`w` keeps positives in
 /// `s`): what the group-commit rejection path needs.
-fn constrained_service(window: Duration) -> Service {
+fn constrained_service() -> Service {
     let mut db = Database::new();
     db.add_relation(Relation::with_tuples("s", 1, vec![tuple![3]]).unwrap())
         .unwrap();
@@ -205,76 +205,73 @@ fn constrained_service(window: Duration) -> Service {
     engine
         .register_view(strategy, StrategyMode::Incremental)
         .unwrap();
-    Service::with_config(
-        engine,
-        ServiceConfig {
-            epoch_window: window,
-        },
-    )
+    Service::new(engine)
+}
+
+/// Submit every script as its own autocommit transaction, all queued
+/// behind the held shard of `view`, then release the shard: the first
+/// submitter leads one epoch that drains them all. Returns each
+/// script's outcome, in script order.
+fn one_epoch(service: &Service, view: &str, scripts: &[String]) -> Vec<ServiceResult<ExecOutcome>> {
+    let held = service
+        .debug_write_lock_shard(view)
+        .expect("view has a shard");
+    let submitters: Vec<_> = scripts
+        .iter()
+        .map(|sql| {
+            let (service, sql) = (service.clone(), sql.clone());
+            std::thread::spawn(move || service.session().execute(&sql))
+        })
+        .collect();
+    while service.debug_queued_autocommits(view) < scripts.len() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(held);
+    submitters.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
 #[test]
 fn epoch_rejection_falls_back_to_per_transaction_semantics() {
-    // Two concurrent autocommit transactions inside one epoch window:
-    // one violates the constraint, one is fine. Whatever epochs the
-    // scheduler produced, the violator must fail, the valid one must
-    // apply, and exactly one commit must be sequenced.
-    for _ in 0..10 {
-        let service = constrained_service(Duration::from_micros(500));
-        let bad = {
-            let service = service.clone();
-            std::thread::spawn(move || {
-                let mut session = service.session();
-                session.execute("INSERT INTO w VALUES (-5);")
-            })
-        };
-        let good = {
-            let service = service.clone();
-            std::thread::spawn(move || {
-                let mut session = service.session();
-                session.execute("INSERT INTO w VALUES (7);")
-            })
-        };
-        let bad = bad.join().unwrap();
-        let good = good.join().unwrap();
-        assert!(
-            matches!(bad, Err(ServiceError::Engine(_))),
-            "constraint violator must fail: {bad:?}"
-        );
-        assert!(good.is_ok(), "valid transaction must survive: {good:?}");
-        let s = service.query("s").unwrap();
-        assert!(s.iter().any(|t| t[0] == Value::int(7)));
-        assert!(!s.iter().any(|t| t[0] == Value::int(-5)));
-        assert_eq!(service.commits(), 1, "only the valid tx is sequenced");
-    }
+    // One epoch holds a constraint violator and a valid transaction:
+    // their net delta is rejected, so the leader commits them one by
+    // one — the violator fails, the valid one applies, and exactly one
+    // commit is sequenced.
+    let service = constrained_service();
+    let scripts = ["INSERT INTO w VALUES (-5);", "INSERT INTO w VALUES (7);"].map(String::from);
+    let [bad, good]: [_; 2] = one_epoch(&service, "w", &scripts).try_into().unwrap();
+    assert!(
+        matches!(bad, Err(ServiceError::Engine(_))),
+        "constraint violator must fail: {bad:?}"
+    );
+    assert!(good.is_ok(), "valid transaction must survive: {good:?}");
+    let s = service.query("s").unwrap();
+    assert!(s.iter().any(|t| t[0] == Value::int(7)));
+    assert!(!s.iter().any(|t| t[0] == Value::int(-5)));
+    assert_eq!(service.commits(), 1, "only the valid tx is sequenced");
 }
 
 #[test]
-fn windowed_epochs_coalesce_but_count_every_transaction() {
+fn queued_epochs_coalesce_but_count_every_transaction() {
     const CLIENTS: usize = 6;
-    const PER_CLIENT: usize = 10;
-    let service = constrained_service(Duration::from_micros(300));
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let service = service.clone();
-            std::thread::spawn(move || {
-                let mut session = service.session();
-                for k in 0..PER_CLIENT {
-                    let value = 100 * (c + 1) + k;
-                    session
-                        .execute(&format!("INSERT INTO w VALUES ({value});"))
-                        .unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+    const EPOCHS: usize = 10;
+    let service = constrained_service();
+    for k in 0..EPOCHS {
+        let scripts: Vec<String> = (0..CLIENTS)
+            .map(|c| format!("INSERT INTO w VALUES ({});", 100 * (c + 1) + k))
+            .collect();
+        for outcome in one_epoch(&service, "w", &scripts) {
+            // Every member reports its epoch's totals: one net delta
+            // holding all CLIENTS inserts.
+            match outcome.unwrap() {
+                ExecOutcome::Applied(stats) => assert_eq!(stats.view_delta_size, CLIENTS),
+                other => panic!("autocommit must apply: {other:?}"),
+            }
+        }
     }
-    assert_eq!(service.commits(), (CLIENTS * PER_CLIENT) as u64);
+    assert_eq!(service.commits(), (CLIENTS * EPOCHS) as u64);
     let s = service.query("s").unwrap();
     for c in 0..CLIENTS {
-        for k in 0..PER_CLIENT {
+        for k in 0..EPOCHS {
             let value = 100 * (c + 1) + k;
             assert!(
                 s.iter().any(|t| t[0] == Value::int(value as i64)),
